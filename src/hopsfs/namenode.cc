@@ -318,6 +318,20 @@ void Namenode::ResolveDir(std::shared_ptr<OpCtx> ctx, std::string_view path,
   ws->step(0, kRootInode, InodeKey(0, ""));
 }
 
+void Namenode::InvalidateSubtreeHints(const std::string& path) {
+  PROF_ZONE("nn.hint.invalidate");
+  path_cache_.erase(path);
+  // The descendants of "/a/b" are exactly the keys in ["/a/b/", "/a/b0"):
+  // '0' is the character after '/'. Siblings such as "/a/b-x" or "/a/b.r"
+  // sort between "/a/b" and "/a/b/", so they fall outside the range.
+  std::string bound;
+  bound.reserve(path.size() + 1);
+  bound.append(path) += '/';
+  const auto first = path_cache_.lower_bound(bound);
+  bound.back() = '0';
+  path_cache_.erase(first, path_cache_.lower_bound(bound));
+}
+
 // ---------------------------------------------------------------------------
 // Operation dispatch
 // ---------------------------------------------------------------------------

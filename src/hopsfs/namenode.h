@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -161,6 +162,10 @@ class Namenode {
   // sub-second simulation window cannot organically warm.
   void PrimePathCache(const std::string& path, InodeId id,
                       const std::string& row_key);
+  // True if the inode hint cache holds `path` (tests only).
+  bool HasPathHint(std::string_view path) const {
+    return path_cache_.find(path) != path_cache_.end();
+  }
 
   const ThreadPool& cpu_pool() const { return *cpu_; }
   void ResetStats() { cpu_->ResetStats(); }
@@ -184,6 +189,10 @@ class Namenode {
   using ResolveCb = SmallCall<void(InodeId, std::string_view)>;
   void ResolveDir(std::shared_ptr<OpCtx> ctx, std::string_view path,
                   ResolveCb cb);
+
+  // Drops the hints for `path` and every path below it (after a rename
+  // moved that subtree). O(log n + evicted) in the cache size.
+  void InvalidateSubtreeHints(const std::string& path);
 
   void DoMkdir(std::shared_ptr<OpCtx> ctx);
   void DoCreate(std::shared_ptr<OpCtx> ctx);
@@ -245,26 +254,16 @@ class Namenode {
   metrics::Counter* ctr_host_errors_ = nullptr;
 
   // Path -> inode hint cache; entries are validated by the locked read
-  // each operation performs, so staleness only costs a retry.
+  // each operation performs, so staleness only costs a retry. Ordered so
+  // a rename can drop a moved subtree's hints as one contiguous key range
+  // (InvalidateSubtreeHints); the transparent comparator lets the dispatch
+  // path probe with string_view slices of the request path without
+  // building a std::string.
   struct CachedPath {
     InodeId id;
     std::string row_key;  // "parentId/name" row key of the directory
   };
-  // Transparent hash/eq: the dispatch path probes with string_view
-  // slices of the request path, so find() must not build a std::string.
-  struct PathHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct PathEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const noexcept {
-      return a == b;
-    }
-  };
-  std::unordered_map<std::string, CachedPath, PathHash, PathEq> path_cache_;
+  std::map<std::string, CachedPath, std::less<>> path_cache_;
 
   // Leader election state.
   int64_t le_counter_ = 0;

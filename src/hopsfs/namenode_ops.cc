@@ -639,21 +639,7 @@ void Namenode::DoRename(std::shared_ptr<OpCtx> ctx) {
                             MaybeRetry(ctx, Status(c4, "rename: commit"));
                             return;
                           }
-                          // Drop hints under the moved path.
-                          const std::string& src = ctx->req.path;
-                          for (auto it = path_cache_.begin();
-                               it != path_cache_.end();) {
-                            const std::string& p = it->first;
-                            const bool under =
-                                StartsWith(p, src) &&
-                                p.size() > src.size() &&
-                                p[src.size()] == '/';
-                            if (p == src || under) {
-                              it = path_cache_.erase(it);
-                            } else {
-                              ++it;
-                            }
-                          }
+                          InvalidateSubtreeHints(ctx->req.path);
                           Finish(ctx, FsResult{});
                         });
                       });

@@ -1090,14 +1090,12 @@ void NdbDatanode::SweepInactiveTxns() {
   // it is older than the inactivity timeout (anything younger may still
   // have its TcPrepared/Complete legitimately in flight) and its TC is
   // dead, restarted (empty transaction table), or has forgotten the txn.
-  std::vector<RowStore::PendingRow> orphans;
-  store_.ForEachPending([&](const RowStore::PendingRow& p) {
-    if (p.tc == kNoNode || p.staged_at >= cutoff) return;
-    if (!cluster_.layout().alive(p.tc) ||
-        !cluster_.datanode(p.tc).HasActiveTxn(p.txn)) {
-      orphans.push_back(p);
-    }
-  });
+  const auto orphans =
+      store_.CollectPending([&](TxnId txn, NodeId tc, Nanos staged_at) {
+        if (tc == kNoNode || staged_at >= cutoff) return false;
+        return !cluster_.layout().alive(tc) ||
+               !cluster_.datanode(tc).HasActiveTxn(txn);
+      });
   for (const auto& o : orphans) {
     // Roll forward or back? The transaction may have reached its commit
     // point — primary applied, client acked — with only this replica's

@@ -1,5 +1,6 @@
 #include "ndb/row_store.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -36,13 +37,15 @@ std::optional<std::string> RowStore::Read(TableId table, const Key& key,
 bool RowStore::Prepare(TableId table, const Key& key, WriteType type,
                        std::string value, TxnId txn, NodeId tc,
                        Nanos staged_at) {
-  Row& row = tables_[table][key];
+  const auto it = tables_[table].try_emplace(key).first;
+  Row& row = it->second;
   if (TraceKey(key)) {
     std::fprintf(stderr, "[trace] store %d PREPARE %s txn=%lld tc=%d ok=%d\n",
                  debug_owner_, key.c_str(), (long long)txn, (int)tc,
                  !(row.has_pending && row.pending_txn != txn));
   }
   if (row.has_pending && row.pending_txn != txn) return false;
+  if (!row.has_pending) AddPending(table, it);
   row.has_pending = true;
   row.pending_txn = txn;
   row.pending_tc = tc;
@@ -66,6 +69,7 @@ std::optional<RowStore::AppliedWrite> RowStore::Commit(TableId table,
   if (it == t.end()) return std::nullopt;
   Row& row = it->second;
   if (!row.has_pending || row.pending_txn != txn) return std::nullopt;
+  DropPending(row);
   if (row.committed) total_bytes_ -= static_cast<int64_t>(row.committed->size());
   AppliedWrite applied{row.pending_type, {}};
   if (row.pending_type == WriteType::kDelete) {
@@ -93,6 +97,7 @@ void RowStore::Abort(TableId table, const Key& key, TxnId txn) {
   if (it == t.end()) return;
   Row& row = it->second;
   if (!row.has_pending || row.pending_txn != txn) return;
+  DropPending(row);
   row.has_pending = false;
   row.pending_value.clear();
   if (!row.committed) t.erase(it);
@@ -134,6 +139,7 @@ int64_t RowStore::row_count(TableId table) const {
 
 void RowStore::Clear() {
   for (auto& t : tables_) t.clear();
+  pending_.clear();
   total_bytes_ = 0;
 }
 
@@ -141,6 +147,7 @@ void RowStore::BootstrapDelete(TableId table, const Key& key) {
   auto& t = tables_[table];
   auto it = t.find(key);
   if (it == t.end()) return;
+  if (it->second.has_pending) DropPending(it->second);
   if (it->second.committed) {
     total_bytes_ -= static_cast<int64_t>(it->second.committed->size());
   }
@@ -155,17 +162,41 @@ void RowStore::ForEachCommitted(
   }
 }
 
-void RowStore::ForEachPending(
-    const std::function<void(const PendingRow&)>& fn) const {
-  for (size_t table = 0; table < tables_.size(); ++table) {
-    for (const auto& [key, row] : tables_[table]) {
-      if (row.has_pending) {
-        fn(PendingRow{static_cast<TableId>(table), key, row.pending_txn,
-                      row.pending_tc, row.pending_since, row.pending_type,
-                      row.pending_value});
-      }
+std::vector<RowStore::PendingRow> RowStore::CollectPending(
+    const std::function<bool(TxnId, NodeId, Nanos)>& keep) const {
+  std::vector<const PendingSlot*> hits;
+  for (const PendingSlot& slot : pending_) {
+    const Row& row = slot.second->second;
+    if (keep(row.pending_txn, row.pending_tc, row.pending_since)) {
+      hits.push_back(&slot);
     }
   }
+  std::sort(hits.begin(), hits.end(),
+            [](const PendingSlot* a, const PendingSlot* b) {
+              if (a->first != b->first) return a->first < b->first;
+              return a->second->first < b->second->first;
+            });
+  std::vector<PendingRow> out;
+  out.reserve(hits.size());
+  for (const PendingSlot* slot : hits) {
+    const auto& [key, row] = *slot->second;
+    out.push_back(PendingRow{slot->first, key, row.pending_txn,
+                             row.pending_tc, row.pending_since,
+                             row.pending_type, row.pending_value});
+  }
+  return out;
+}
+
+void RowStore::AddPending(TableId table, Table::iterator it) {
+  it->second.pending_pos = pending_.size();
+  pending_.emplace_back(table, it);
+}
+
+void RowStore::DropPending(const Row& row) {
+  const size_t pos = row.pending_pos;
+  pending_[pos] = pending_.back();
+  pending_[pos].second->second.pending_pos = pos;
+  pending_.pop_back();
 }
 
 void RowStore::BootstrapPut(TableId table, const Key& key,

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,6 +25,9 @@ enum class WriteType { kPut, kDelete };
 class RowStore {
  public:
   explicit RowStore(int num_tables);
+  // The pending-write index holds iterators into this store's own tables.
+  RowStore(const RowStore&) = delete;
+  RowStore& operator=(const RowStore&) = delete;
 
   // Committed read; pending changes of `reader_txn` (if any) are visible.
   std::optional<std::string> Read(TableId table, const Key& key,
@@ -85,10 +87,13 @@ class RowStore {
       TableId table,
       const std::function<void(const Key&, const std::string&)>& fn) const;
 
-  // Iterates every pending (staged, not yet applied) write across all
-  // tables. Used by the orphaned-slot sweep: a pending write whose
-  // transaction no longer exists at its coordinator — and which take-over
-  // never saw — must be resolved or it wedges the row forever.
+  // Copies out every pending (staged, not yet applied) write across all
+  // tables for which `keep(txn, tc, staged_at)` holds, in (table, key)
+  // order. `keep` must not modify the store; it runs once per pending row
+  // in no particular order. Used by the orphaned-slot sweep: a pending
+  // write whose transaction no longer exists at its coordinator — and
+  // which take-over never saw — must be resolved or it wedges the row
+  // forever. Costs O(pending), not O(rows).
   struct PendingRow {
     TableId table;
     Key key;
@@ -98,7 +103,9 @@ class RowStore {
     WriteType type;
     std::string value;
   };
-  void ForEachPending(const std::function<void(const PendingRow&)>& fn) const;
+  std::vector<PendingRow> CollectPending(
+      const std::function<bool(TxnId txn, NodeId tc, Nanos staged_at)>& keep)
+      const;
 
  private:
   struct Row {
@@ -110,11 +117,20 @@ class RowStore {
     Nanos pending_since = 0;      // when it was staged
     WriteType pending_type = WriteType::kPut;
     std::string pending_value;
+    size_t pending_pos = 0;  // index in pending_ while has_pending
   };
+  using Table = std::map<Key, Row>;
+  using PendingSlot = std::pair<TableId, Table::iterator>;
 
-  void AccountResize(const Row& row, int64_t delta_hint);
+  // Index maintenance for rows gaining / losing their pending write.
+  void AddPending(TableId table, Table::iterator it);
+  void DropPending(const Row& row);
 
-  std::vector<std::map<Key, Row>> tables_;
+  std::vector<Table> tables_;
+  // Every row with has_pending set, unordered; Row::pending_pos is the
+  // row's slot, so dropping one is a swap-and-pop. Map iterators stay
+  // valid until their row is erased, and every erase drops the slot first.
+  std::vector<PendingSlot> pending_;
   int64_t total_bytes_ = 0;
   int debug_owner_ = -1;
 };

@@ -138,6 +138,40 @@ TEST(HopsFsOps, RenameDirectoryMovesSubtree) {
   EXPECT_EQ(fs.Stat("/proj/v1/data").code(), Code::kNotFound);
 }
 
+TEST(HopsFsOps, RenameDropsOnlyTheMovedSubtreesHints) {
+  // One namenode, so every op below resolves through the same hint cache.
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, /*num_nns=*/1);
+  Namenode* nn = fs.deployment->namenode(0);
+  // '-' and '.' sort before '/', so "/a/b-x" and "/a/b.r" sit between
+  // "/a/b" and its descendants in key order; "/a/bc" sorts after them.
+  const std::vector<std::string> moved = {"/a/b", "/a/b/c", "/a/b/c/d"};
+  const std::vector<std::string> kept = {"/a", "/a/b-x", "/a/b.r", "/a/bc",
+                                         "/z"};
+  for (const char* d : {"/a", "/a/b", "/a/b/c", "/a/b/c/d", "/a/b-x",
+                        "/a/b.r", "/a/bc", "/z"}) {
+    ASSERT_TRUE(fs.Mkdir(d).ok()) << d;
+  }
+  // Creating a file under a directory caches that directory's hint.
+  for (const auto* v : {&moved, &kept}) {
+    for (const auto& d : *v) {
+      ASSERT_TRUE(fs.Create(d + "/f").ok()) << d;
+      ASSERT_TRUE(nn->HasPathHint(d)) << d;
+    }
+  }
+
+  // A file rename evicts nothing.
+  ASSERT_TRUE(fs.Rename("/a/bc/f", "/a/bc/g").ok());
+  for (const auto* v : {&moved, &kept}) {
+    for (const auto& d : *v) EXPECT_TRUE(nn->HasPathHint(d)) << d;
+  }
+
+  ASSERT_TRUE(fs.Rename("/a/b", "/z/b").ok());
+  for (const auto& d : moved) EXPECT_FALSE(nn->HasPathHint(d)) << d;
+  for (const auto& d : kept) EXPECT_TRUE(nn->HasPathHint(d)) << d;
+  EXPECT_TRUE(fs.Stat("/z/b/c/d/f").ok());
+  EXPECT_EQ(fs.Stat("/a/b/c/d/f").code(), Code::kNotFound);
+}
+
 TEST(HopsFsOps, ChmodUpdatesPermissions) {
   TestFs fs;
   ASSERT_TRUE(fs.Mkdir("/perm").ok());
