@@ -162,27 +162,38 @@ void Namenode::HandleRequest(FsRequest req, FsResultCb done) {
   }
 }
 
-void Namenode::Finish(std::shared_ptr<OpCtx> ctx, FsResult result) {
+void Namenode::Finish(OpPtr ctx) {
   sim_.tracer().EndSpan(ctx->txn_span);
   ctx->txn_span = 0;
   if (ctx->admitted) {
     ctx->admitted = false;
     limiter_.Release(sim_.now() - ctx->admit_time, sim_.now());
   }
-  if (result.status.code() == Code::kDeadlineExceeded) {
-    metrics::Bump(ctr_deadline_);
-  }
+  const Status& status = ctx->result.status;
+  if (status.code() == Code::kDeadlineExceeded) metrics::Bump(ctr_deadline_);
   // Health signal: final unavailability-class failures served by this
   // host (admission sheds are flow control, not host sickness, and are
   // counted separately above).
-  if (result.status.counts_against_availability()) {
-    metrics::Bump(ctr_host_errors_);
-  }
+  if (status.counts_against_availability()) metrics::Bump(ctr_host_errors_);
   ++ops_served_;
-  ctx->done(std::move(result));
+  ctx->done(std::move(ctx->result));
 }
 
-void Namenode::MaybeRetry(std::shared_ptr<OpCtx> ctx, const Status& failure) {
+void Namenode::Finish(OpPtr ctx, Status status) {
+  ctx->result = FsResult{};
+  ctx->result.status = std::move(status);
+  Finish(std::move(ctx));
+}
+
+void Namenode::Fail(OpPtr ctx, Status failure) {
+  if (ctx->txn != 0) {
+    api_->Abort(ctx->txn);
+    ctx->txn = 0;
+  }
+  Finish(std::move(ctx), std::move(failure));
+}
+
+void Namenode::MaybeRetry(OpPtr ctx, const Status& failure) {
   sim_.tracer().EndSpan(ctx->txn_span);
   ctx->txn_span = 0;
   if (ctx->txn != 0) {
@@ -200,16 +211,10 @@ void Namenode::MaybeRetry(std::shared_ptr<OpCtx> ctx, const Status& failure) {
   }
   const Nanos now = sim_.now();
   if (resilience::DeadlineExpired(ctx->req.deadline, now)) {
-    FsResult r;
-    r.status = DeadlineExceeded("nn: deadline passed during txn");
-    Finish(ctx, std::move(r));
-    return;
+    return Finish(ctx, DeadlineExceeded("nn: deadline passed during txn"));
   }
   if (!failure.retryable() || ctx->attempt >= config_.max_txn_retries) {
-    FsResult r;
-    r.status = failure;
-    Finish(ctx, std::move(r));
-    return;
+    return Finish(ctx, failure);
   }
   // Retry with exponential backoff + jitter: HopsFS's backpressure to
   // NDB. Cap and ceiling are configurable, and the wait never exceeds
@@ -230,92 +235,67 @@ void Namenode::MaybeRetry(std::shared_ptr<OpCtx> ctx, const Status& failure) {
   });
 }
 
-void Namenode::ResolveDir(std::shared_ptr<OpCtx> ctx, std::string_view path,
-                          ResolveCb cb) {
-  if (path == "/") {
-    cb(kRootInode, InodeKey(0, ""));
-    return;
-  }
+void Namenode::ResolveDir(OpPtr ctx, std::string_view path, ResolveCb cb) {
+  if (path == "/") return cb(ctx, kRootInode, ctx->arena.InodeKeyIn(0, ""));
   // Fast path: HopsFS resolves cached path prefixes from the NN-side
   // inode hint cache without re-reading the upper directories — re-reading
   // "/user"-style top components on every operation would funnel the whole
   // cluster's load onto one partition's LDM thread. The hint is validated
-  // implicitly: the operation's own locked read on the target/parent row
-  // (keyed "parentId/name") misses if the hint went stale, which flows
-  // through MaybeRetry's cache-flush-and-re-resolve path.
+  // when the operation locks the row: LockParent checks that the locked
+  // row is still the hinted directory, and the target's own read misses
+  // under a stale parent id; both flow through MaybeRetry's
+  // cache-flush-and-re-resolve path.
   auto hit = path_cache_.find(path);
   if (hit != path_cache_.end()) {
     ctx->used_cache = true;
-    cb(hit->second.id, hit->second.row_key);
-    return;
+    return cb(ctx, hit->second.id, ctx->arena.Intern(hit->second.row_key));
   }
+  OpCtx::PathWalk& walk = ctx->walk;
+  walk.parts = SplitPath(path);
+  walk.next = 0;
+  walk.dir = kRootInode;
+  walk.row_key = ctx->arena.InodeKeyIn(0, "");
+  walk.then = std::move(cb);
+  ResolveNext(std::move(ctx));
+}
 
-  auto parts_sv = SplitPath(path);
-  auto parts = std::make_shared<std::vector<std::string>>();
-  for (auto p : parts_sv) parts->emplace_back(p);
-
-  // The walk state holds the self-referencing step closure; the step
-  // captures only a weak reference to the state, so the cycle resolves
-  // itself once the last in-flight read callback (which holds a strong
-  // reference) returns. Never reset `step` from inside itself: that
-  // destroys the executing closure's captures.
-  struct WalkState {
-    std::function<void(size_t, InodeId, std::string)> step;
-    Namenode::ResolveCb cb;
-  };
-  auto ws = std::make_shared<WalkState>();
-  ws->cb = std::move(cb);
-  std::weak_ptr<WalkState> weak = ws;
-  ws->step = [this, ctx, parts, weak](size_t i, InodeId cur,
-                                      std::string cur_row_key) {
-    auto ws = weak.lock();
-    if (!ws) return;
-    if (i == parts->size()) {
-      ws->cb(cur, cur_row_key);
-      return;
-    }
-    const std::string key = InodeKey(cur, (*parts)[i]);
-    api_->Read(
-        ctx->txn, tables_.inodes, key, ndb::LockMode::kReadCommitted,
-        [this, ctx, parts, ws, i, key](Code code,
-                                       std::optional<std::string> value) {
-          if (code != Code::kOk) {
-            MaybeRetry(ctx, Status(code, "path read failed"));
-            return;
-          }
-          if (!value) {
-            if (ctx->used_cache) {
-              MaybeRetry(ctx, NotFound("path component missing"));
-            } else {
-              api_->Abort(ctx->txn);
-              ctx->txn = 0;
-              FsResult r;
-              r.status = NotFound("path component missing");
-              Finish(ctx, std::move(r));
-            }
-            return;
-          }
-          InodeRow row;
-          if (!InodeRow::Decode(*value, &row) || !row.is_dir) {
-            api_->Abort(ctx->txn);
-            ctx->txn = 0;
-            FsResult r;
-            r.status =
-                FailedPrecondition("path component is not a directory");
-            Finish(ctx, std::move(r));
-            return;
-          }
-          // Cache this prefix: "/p0/.../pi" -> row.id.
-          std::string prefix;
-          for (size_t k = 0; k <= i; ++k) {
-            prefix += '/';
-            prefix += (*parts)[k];
-          }
-          path_cache_[prefix] = CachedPath{row.id, key};
-          ws->step(i + 1, row.id, key);
-        });
-  };
-  ws->step(0, kRootInode, InodeKey(0, ""));
+void Namenode::ResolveNext(OpPtr ctx) {
+  OpCtx::PathWalk& walk = ctx->walk;
+  if (walk.next == walk.parts.size()) {
+    // Moved out first: `then` may start another walk on this context.
+    ResolveCb then = std::move(walk.then);
+    return then(ctx, walk.dir, walk.row_key);
+  }
+  walk.row_key = ctx->arena.InodeKeyIn(walk.dir, walk.parts[walk.next]);
+  api_->Read(
+      ctx->txn, tables_.inodes, std::string(walk.row_key),
+      ndb::LockMode::kReadCommitted,
+      [this, ctx](Code code, std::optional<std::string> value) {
+        if (code != Code::kOk) {
+          return MaybeRetry(ctx, Status(code, "path read failed"));
+        }
+        if (!value) {
+          const Status missing = NotFound("path component missing");
+          return ctx->used_cache ? MaybeRetry(ctx, missing)
+                                 : Fail(ctx, missing);
+        }
+        InodeRow row;
+        if (!InodeRow::Decode(*value, &row) || !row.is_dir) {
+          return Fail(ctx,
+                      FailedPrecondition("path component is not a directory"));
+        }
+        // Cache this prefix: "/p0/.../pi" -> row.id.
+        OpCtx::PathWalk& walk = ctx->walk;
+        std::string prefix;
+        for (size_t k = 0; k <= walk.next; ++k) {
+          prefix += '/';
+          prefix += walk.parts[k];
+        }
+        path_cache_[prefix] = CachedPath{row.id, std::string(walk.row_key)};
+        walk.dir = row.id;
+        ++walk.next;
+        ResolveNext(ctx);
+      });
 }
 
 void Namenode::InvalidateSubtreeHints(const std::string& path) {
@@ -336,17 +316,13 @@ void Namenode::InvalidateSubtreeHints(const std::string& path) {
 // Operation dispatch
 // ---------------------------------------------------------------------------
 
-void Namenode::RunAttempt(std::shared_ptr<OpCtx> ctx) {
+void Namenode::RunAttempt(OpPtr ctx) {
   PROF_ZONE("nn.op.dispatch");
   if (resilience::DeadlineExpired(ctx->req.deadline, sim_.now())) {
-    FsResult r;
-    r.status = DeadlineExceeded("nn: deadline passed before attempt");
-    Finish(ctx, std::move(r));
-    return;
+    return Finish(ctx, DeadlineExceeded("nn: deadline passed before attempt"));
   }
   ++ctx->attempt;
-  ctx->used_cache = false;
-  ctx->arena.Reset();
+  ctx->ResetAttempt();
   // One span per transaction attempt; NDB op spans hang under it via
   // SetTxnTrace below.
   ctx->txn_span = sim_.tracer().StartSpan(
@@ -385,7 +361,7 @@ void Namenode::RunAttempt(std::shared_ptr<OpCtx> ctx) {
   api_->SetTxnDeadline(ctx->txn, ctx->req.deadline);
   api_->SetTxnTrace(ctx->txn, ctx->txn_span);
 
-  auto dispatch = [this, ctx] {
+  auto dispatch = [this](OpPtr ctx) {
     switch (ctx->req.op) {
       case FsOp::kMkdir: DoMkdir(ctx); return;
       case FsOp::kCreate: DoCreate(ctx); return;
@@ -407,16 +383,13 @@ void Namenode::RunAttempt(std::shared_ptr<OpCtx> ctx) {
     // Target is the root itself.
     ctx->dir = 0;
     ctx->dir_row_key = {};
-    dispatch();
-    return;
+    return dispatch(ctx);
   }
   ResolveDir(ctx, parent,
-             [ctx, dispatch](InodeId dir, std::string_view row_key) {
+             [dispatch](OpPtr ctx, InodeId dir, std::string_view row_key) {
                ctx->dir = dir;
-               // The view may alias the path cache or a walk-local key;
-               // pin a copy the deferred transaction callbacks can use.
-               ctx->dir_row_key = ctx->arena.Intern(row_key);
-               dispatch();
+               ctx->dir_row_key = row_key;
+               dispatch(ctx);
              });
 }
 

@@ -175,37 +175,87 @@ class Namenode {
 
  private:
   struct OpCtx;
+  using OpPtr = std::shared_ptr<OpCtx>;
 
-  // -- operation state machines --
-  void RunAttempt(std::shared_ptr<OpCtx> ctx);
-  void Finish(std::shared_ptr<OpCtx> ctx, FsResult result);
-  void MaybeRetry(std::shared_ptr<OpCtx> ctx, const Status& failure);
+  // -- operation plumbing (namenode.cc) --
+  void RunAttempt(OpPtr ctx);
+  // Delivers ctx->result to the client.
+  void Finish(OpPtr ctx);
+  // Ends the op with `status` and no payload, leaving ctx->txn as it is
+  // (already aborted, or an argument check that ran before any NDB op).
+  void Finish(OpPtr ctx, Status status);
+  // Aborts the attempt's open transaction, then ends the op with
+  // `failure` (non-retryable: permission and precondition errors).
+  void Fail(OpPtr ctx, Status failure);
+  void MaybeRetry(OpPtr ctx, const Status& failure);
 
-  // Resolves the inode id of directory `path` ("/a/b") with committed
-  // reads. `cb(dir_id, dir_row_key)` runs only on success; failures are
-  // finished/retried internally. Uses the NN-side path cache. The row-key
-  // view is only valid for the duration of the call — callees must intern
-  // it (OpCtx arena) before deferring.
-  using ResolveCb = SmallCall<void(InodeId, std::string_view)>;
-  void ResolveDir(std::shared_ptr<OpCtx> ctx, std::string_view path,
-                  ResolveCb cb);
+  // Resolves the inode id of directory `path` ("/a/b") from the NN-side
+  // path cache, else with committed reads. `cb(ctx, dir_id, dir_row_key)`
+  // runs only on success, with an arena-backed key; failures are
+  // finished/retried internally.
+  using ResolveCb = SmallCall<void(OpPtr, InodeId, std::string_view)>;
+  void ResolveDir(OpPtr ctx, std::string_view path, ResolveCb cb);
+  void ResolveNext(OpPtr ctx);
 
   // Drops the hints for `path` and every path below it (after a rename
   // moved that subtree). O(log n + evicted) in the cache size.
   void InvalidateSubtreeHints(const std::string& path);
 
-  void DoMkdir(std::shared_ptr<OpCtx> ctx);
-  void DoCreate(std::shared_ptr<OpCtx> ctx);
-  void DoOpenRead(std::shared_ptr<OpCtx> ctx);
-  void DoStat(std::shared_ptr<OpCtx> ctx);
-  void DoDelete(std::shared_ptr<OpCtx> ctx);
-  void DoListDir(std::shared_ptr<OpCtx> ctx);
-  void DoRename(std::shared_ptr<OpCtx> ctx);
+  // -- transaction template (namenode_ops.cc) --
+  // Each step runs `then(ctx, ...)` only on success; a failure ends the
+  // attempt through MaybeRetry or Fail. `then` captures at most `this`
+  // and a few scalars, so every NDB callback stays allocation-free.
+  //
+  // X-locks the parent directory row `row_key` and checks that it is
+  // still the directory `expected_id` the path hint named (a mismatch is
+  // a stale hint: NotFound, re-resolved by MaybeRetry) and that the
+  // caller may write it. The row lands in ctx->parent.
+  template <typename Then>
+  void LockParent(OpPtr ctx, std::string_view row_key, InodeId expected_id,
+                  Then then);
+  // Reads and decodes one inode row; a missing row is NotFound.
+  template <typename Then>
+  void ReadInode(OpPtr ctx, std::string key, ndb::LockMode mode, Then then);
+  template <typename Then>
+  void Scan(OpPtr ctx, ndb::TableId table, std::string prefix, Then then);
+  // Write callback that runs `then(ctx)` once the write succeeded.
+  template <typename Then>
+  ndb::NdbApiNode::WriteCb AfterWrite(OpPtr ctx, Then then);
+  // Write batch: every write issued with a Batched(ctx) callback counts
+  // in ctx->pending_writes, and the last acknowledgement commits (or
+  // retries with the first failure). A lone write needs nothing else;
+  // several are bracketed by OpenBatch / CloseBatch, whose guard slot
+  // keeps a synchronously failing write from draining the batch early.
+  ndb::NdbApiNode::WriteCb Batched(OpPtr ctx);
+  void OpenBatch(OpPtr ctx);
+  void CloseBatch(OpPtr ctx);
+  void WriteDone(OpPtr ctx, Code code);
+  // Commits, applies the post-commit effects (rename hint invalidation,
+  // replica drops), then finishes with ctx->result.
+  void CommitAndFinish(OpPtr ctx);
+  // Bumps the locked parent's mtime as one batched write.
+  void TouchParent(OpPtr ctx);
+  // Allocates block `index` of a `file_size`-byte file with AZ-aware
+  // placement and inserts its block row and per-replica index rows.
+  void AddBlock(OpPtr ctx, InodeId file, int32_t index, int64_t file_size);
+  // Gathers every inode below ctx->frontier into ctx->subtree (du, rmr).
+  void WalkSubtree(OpPtr ctx);
+  void FinishSummary(OpPtr ctx);
+  // Deletes every inode in ctx->subtree with all it owns (delete, rmr).
+  void DeleteSubtree(OpPtr ctx);
+
+  void DoMkdir(OpPtr ctx);
+  void DoCreate(OpPtr ctx);
+  void DoOpenRead(OpPtr ctx);
+  void DoStat(OpPtr ctx);
+  void DoDelete(OpPtr ctx);
+  void DoListDir(OpPtr ctx);
+  void DoRename(OpPtr ctx);
   // chmod / chown / setTimes share one read-modify-write body.
-  void DoSetAttr(std::shared_ptr<OpCtx> ctx);
-  void DoAppend(std::shared_ptr<OpCtx> ctx);
-  void DoContentSummary(std::shared_ptr<OpCtx> ctx);
-  void DoDeleteRecursive(std::shared_ptr<OpCtx> ctx);
+  void DoSetAttr(OpPtr ctx);
+  void DoAppend(OpPtr ctx);
+  void DoContentSummary(OpPtr ctx);
+  void DoDeleteRecursive(OpPtr ctx);
 
   // -- leadership --
   void LeaderElectionRound();

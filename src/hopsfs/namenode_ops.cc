@@ -1,12 +1,24 @@
 // Transaction bodies of the file-system operations (§II-A2).
 //
-// Every operation follows HopsFS's hierarchical (implicit) locking
-// discipline: resolve the path with committed reads, take a row lock only
-// on the target inode (exclusive for mutations, shared for reads) and on
-// the parent directory for namespace mutations, read associated metadata
-// with read committed, then commit. Rename is a single transaction over
-// both directory entries — the atomic-rename capability object stores
-// lack (§I).
+// Every operation runs through one transaction template, as in HopsFS:
+// RunAttempt (namenode.cc) resolves the parent directory from the hint
+// cache and begins the transaction; the body below locks and reads its
+// rows with the shared steps (LockParent, ReadInode, Scan), issues its
+// writes as one batch, and CommitAndFinish commits. Locking follows the
+// hierarchical (implicit) discipline: a row lock only on the target inode
+// and, for namespace mutations, on the parent directory, which is locked
+// first; everything else is read with read committed. LockParent also
+// validates the path hint the parent came from, so a hint that names a
+// moved or re-created directory costs a re-resolve, never a misplaced
+// entry. Rename is a single transaction over both directory entries —
+// the atomic-rename capability object stores lack (§I).
+//
+// A step runs its continuation only on success and routes every failure
+// to MaybeRetry (retryable codes, NotFound under a hint) or Fail
+// (permission and precondition errors), so the bodies carry no error
+// plumbing. Continuations receive the OpCtx as an argument, and per-op
+// state lives in it, which keeps each NDB callback inside SmallCall's
+// inline buffer.
 #include <algorithm>
 #include <memory>
 
@@ -20,560 +32,309 @@ namespace repro::hopsfs {
 
 namespace {
 
-// Decodes an inode row delivered by a locked read; nullopt on any failure.
-std::optional<InodeRow> DecodeInode(const std::optional<std::string>& value) {
-  if (!value) return std::nullopt;
-  InodeRow row;
-  if (!InodeRow::Decode(*value, &row)) return std::nullopt;
-  return row;
+using Rows = std::vector<std::pair<ndb::Key, std::string>>;
+
+Status Denied(const char* what) {
+  return Status(Code::kPermissionDenied, what);
 }
 
-// Finishes the operation with PERMISSION_DENIED (non-retryable).
-#define REPRO_DENY(ctx, what)                                 \
-  do {                                                        \
-    api_->Abort((ctx)->txn);                                  \
-    (ctx)->txn = 0;                                           \
-    FsResult r;                                               \
-    r.status = Status(Code::kPermissionDenied, what);         \
-    Finish((ctx), std::move(r));                              \
-  } while (0)
+std::vector<BlockRow> DecodeBlocks(const Rows& rows) {
+  std::vector<BlockRow> blocks;
+  for (const auto& [key, value] : rows) {
+    BlockRow b;
+    if (BlockRow::Decode(value, &b)) blocks.push_back(std::move(b));
+  }
+  return blocks;
+}
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// mkdir
+// Transaction template
 // ---------------------------------------------------------------------------
 
-void Namenode::DoMkdir(std::shared_ptr<OpCtx> ctx) {
-  PROF_ZONE("nn.op.mkdir");
-  if (ctx->req.path == "/") {
-    FsResult r;
-    r.status = AlreadyExists("/");
-    Finish(ctx, std::move(r));
-    return;
+template <typename Then>
+void Namenode::LockParent(OpPtr ctx, std::string_view row_key,
+                          InodeId expected_id, Then then) {
+  api_->Read(ctx->txn, tables_.inodes, std::string(row_key),
+             ndb::LockMode::kExclusive,
+             [this, ctx, expected_id, then](
+                 Code code, std::optional<std::string> value) {
+               if (code != Code::kOk) {
+                 return MaybeRetry(ctx, Status(code, "parent lock failed"));
+               }
+               InodeRow& parent = ctx->parent;
+               if (!value || !InodeRow::Decode(*value, &parent) ||
+                   !parent.is_dir || parent.id != expected_id) {
+                 return MaybeRetry(ctx, NotFound("parent missing or moved"));
+               }
+               if (!HasAccess(parent, ctx->req.user, kWrite)) {
+                 return Fail(ctx, Denied("no write access to parent"));
+               }
+               then(ctx);
+             });
+}
+
+template <typename Then>
+void Namenode::ReadInode(OpPtr ctx, std::string key, ndb::LockMode mode,
+                         Then then) {
+  api_->Read(ctx->txn, tables_.inodes, std::move(key), mode,
+             [this, ctx, then](Code code, std::optional<std::string> value) {
+               if (code != Code::kOk) {
+                 return MaybeRetry(ctx, Status(code, "inode read failed"));
+               }
+               InodeRow row;
+               if (!value || !InodeRow::Decode(*value, &row)) {
+                 return MaybeRetry(ctx, NotFound("no such path"));
+               }
+               then(ctx, row);
+             });
+}
+
+template <typename Then>
+void Namenode::Scan(OpPtr ctx, ndb::TableId table, std::string prefix,
+                    Then then) {
+  api_->ScanPrefix(ctx->txn, table, std::move(prefix),
+                   [this, ctx, then](Code code, Rows rows) {
+                     if (code != Code::kOk) {
+                       return MaybeRetry(ctx, Status(code, "scan failed"));
+                     }
+                     then(ctx, rows);
+                   });
+}
+
+template <typename Then>
+ndb::NdbApiNode::WriteCb Namenode::AfterWrite(OpPtr ctx, Then then) {
+  return [this, ctx = std::move(ctx), then](Code code) {
+    if (code != Code::kOk) return MaybeRetry(ctx, Status(code, "write failed"));
+    then(ctx);
+  };
+}
+
+ndb::NdbApiNode::WriteCb Namenode::Batched(OpPtr ctx) {
+  ++ctx->pending_writes;
+  return [this, ctx = std::move(ctx)](Code code) { WriteDone(ctx, code); };
+}
+
+void Namenode::OpenBatch(OpPtr ctx) { ctx->pending_writes = 1; }
+
+void Namenode::CloseBatch(OpPtr ctx) { WriteDone(std::move(ctx), Code::kOk); }
+
+void Namenode::WriteDone(OpPtr ctx, Code code) {
+  if (code != Code::kOk && ctx->write_failure == Code::kOk) {
+    ctx->write_failure = code;
   }
+  if (--ctx->pending_writes > 0) return;
+  if (ctx->write_failure != Code::kOk) {
+    return MaybeRetry(ctx, Status(ctx->write_failure, "write failed"));
+  }
+  CommitAndFinish(std::move(ctx));
+}
+
+void Namenode::CommitAndFinish(OpPtr ctx) {
+  api_->Commit(ctx->txn, [this, ctx](Code code) {
+    ctx->txn = 0;
+    if (code != Code::kOk) {
+      return MaybeRetry(ctx, Status(code, "commit failed"));
+    }
+    if (ctx->req.op == FsOp::kRename) InvalidateSubtreeHints(ctx->req.path);
+    // Tell the datanodes to drop the replicas of deleted files' blocks.
+    if (dn_registry_ != nullptr) {
+      for (const SubtreeInode& gone : ctx->subtree) {
+        for (const BlockRow& b : gone.blocks) {
+          for (blocks::DnId d : b.replicas) {
+            auto* dn = dn_registry_->dn(d);
+            network_.Send(host_, dn->host(), 96,
+                          [dn, id = b.block_id] { dn->DeleteBlock(id); });
+          }
+        }
+      }
+    }
+    Finish(ctx);
+  });
+}
+
+void Namenode::TouchParent(OpPtr ctx) {
+  ctx->parent.mtime_ns = sim_.now();
+  api_->Update(ctx->txn, tables_.inodes, std::string(ctx->dir_row_key),
+               ctx->parent.Encode(), Batched(ctx));
+}
+
+void Namenode::AddBlock(OpPtr ctx, InodeId file, int32_t index,
+                        int64_t file_size) {
+  BlockRow b;
+  b.block_id = NextBlockId();
+  b.num_bytes = std::min<int64_t>(
+      kDefaultBlockSize, file_size - int64_t{index} * kDefaultBlockSize);
+  if (dn_registry_ != nullptr && placement_ != nullptr) {
+    const AzId writer =
+        ctx->req.client_az != kNoAz ? ctx->req.client_az : az_;
+    for (blocks::DnId d :
+         placement_->ChooseTargets(config_.block_replication, writer,
+                                   *dn_registry_, sim_.now(), rng_)) {
+      b.replicas.push_back(d);
+    }
+  }
+  const std::string key = BlockKey(file, index);
+  api_->Insert(ctx->txn, tables_.blocks, key, b.Encode(), Batched(ctx));
+  for (blocks::DnId d : b.replicas) {
+    api_->Insert(ctx->txn, tables_.dn_blocks, DnBlockKey(d, b.block_id), key,
+                 Batched(ctx));
+  }
+  ctx->result.new_blocks.push_back(std::move(b));
+}
+
+// Depth-first over directory partitions with committed scans (no locks:
+// a concurrent mutation may be half-visible, like HDFS's du).
+void Namenode::WalkSubtree(OpPtr ctx) {
+  // A walk over a huge subtree can outlive its deadline: stop between
+  // scan batches rather than finishing doomed work.
+  if (resilience::DeadlineExpired(ctx->req.deadline, sim_.now())) {
+    return MaybeRetry(ctx, DeadlineExceeded("subtree walk: deadline passed"));
+  }
+  if (ctx->frontier.empty()) {
+    if (ctx->req.op == FsOp::kContentSummary) return FinishSummary(ctx);
+    return DeleteSubtree(ctx);
+  }
+  const InodeId dir = ctx->frontier.back();
+  ctx->frontier.pop_back();
+  Scan(ctx, tables_.inodes, InodeChildrenPrefix(dir),
+       [this](OpPtr ctx, Rows& rows) {
+         for (auto& [key, value] : rows) {
+           InodeRow child;
+           if (!InodeRow::Decode(value, &child)) continue;
+           if (child.is_dir) ctx->frontier.push_back(child.id);
+           ctx->subtree.push_back({std::move(key), std::move(child), {}});
+         }
+         WalkSubtree(ctx);
+       });
+}
+
+void Namenode::FinishSummary(OpPtr ctx) {
+  FsResult& r = ctx->result;
+  for (const SubtreeInode& n : ctx->subtree) {
+    if (n.inode.is_dir) {
+      r.cs_dirs += 1;
+    } else {
+      r.cs_files += 1;
+      r.cs_bytes += n.inode.size;
+    }
+  }
+  CommitAndFinish(std::move(ctx));
+}
+
+// Reads the block rows of each gathered file that has blocks, one scan at
+// a time, then deletes the whole subtree in one write batch: inode rows,
+// inline data, block rows and their per-datanode index rows. The replicas
+// are dropped after the commit.
+void Namenode::DeleteSubtree(OpPtr ctx) {
+  std::vector<SubtreeInode>& subtree = ctx->subtree;
+  size_t& next = ctx->next_block_scan;
+  while (next < subtree.size() && subtree[next].inode.num_blocks == 0) ++next;
+  if (next < subtree.size()) {
+    return Scan(ctx, tables_.blocks,
+                BlocksOfInodePrefix(subtree[next].inode.id),
+                [this](OpPtr ctx, Rows& rows) {
+                  ctx->subtree[ctx->next_block_scan++].blocks =
+                      DecodeBlocks(rows);
+                  DeleteSubtree(ctx);
+                });
+  }
+  OpenBatch(ctx);
+  for (const SubtreeInode& gone : subtree) {
+    const InodeId id = gone.inode.id;
+    api_->Delete(ctx->txn, tables_.inodes, gone.key, Batched(ctx));
+    if (gone.inode.has_inline_data) {
+      api_->Delete(ctx->txn, tables_.inline_data, InlineDataKey(id),
+                   Batched(ctx));
+    }
+    for (size_t i = 0; i < gone.blocks.size(); ++i) {
+      api_->Delete(ctx->txn, tables_.blocks,
+                   BlockKey(id, static_cast<int32_t>(i)), Batched(ctx));
+      for (blocks::DnId d : gone.blocks[i].replicas) {
+        api_->Delete(ctx->txn, tables_.dn_blocks,
+                     DnBlockKey(d, gone.blocks[i].block_id), Batched(ctx));
+      }
+    }
+  }
+  // A single-inode delete also bumps the parent's mtime; rmr does not.
+  if (ctx->req.op == FsOp::kDelete) TouchParent(ctx);
+  CloseBatch(std::move(ctx));
+}
+
+// ---------------------------------------------------------------------------
+// Namespace mutations: mkdir, create, delete, rename, rmr
+// ---------------------------------------------------------------------------
+
+void Namenode::DoMkdir(OpPtr ctx) {
+  PROF_ZONE("nn.op.mkdir");
+  if (ctx->req.path == "/") return Finish(ctx, AlreadyExists("/"));
   // Exclusive lock on the parent directory serialises same-directory
   // namespace mutations (the implicit lock of the subtree entry).
-  api_->Read(ctx->txn, tables_.inodes, std::string(ctx->dir_row_key),
-             ndb::LockMode::kExclusive,
-             [this, ctx](Code code, std::optional<std::string> value) {
-               if (code != Code::kOk) {
-                 MaybeRetry(ctx, Status(code, "mkdir: parent lock"));
-                 return;
-               }
-               auto parent = DecodeInode(value);
-               if (!parent || !parent->is_dir) {
-                 MaybeRetry(ctx, NotFound("mkdir: parent missing"));
-                 return;
-               }
-               if (!HasAccess(*parent, ctx->req.user, kWrite)) {
-                 REPRO_DENY(ctx, "mkdir: no write access to parent");
-                 return;
-               }
-               InodeRow child;
-               child.id = NextInodeId();
-               child.is_dir = true;
-               child.permissions = ctx->req.permissions;
-               child.owner = ctx->req.user;
-               child.mtime_ns = sim_.now();
-               api_->Insert(
-                   ctx->txn, tables_.inodes, InodeKey(ctx->dir, ctx->base),
-                   child.Encode(), [this, ctx, parent](Code c2) {
-                     if (c2 != Code::kOk) {
-                       MaybeRetry(ctx, Status(c2, "mkdir: insert"));
-                       return;
-                     }
-                     InodeRow p = *parent;
-                     p.mtime_ns = sim_.now();
-                     api_->Update(ctx->txn, tables_.inodes,
-                                  std::string(ctx->dir_row_key),
-                                  p.Encode(), [this, ctx](Code c3) {
-                                    if (c3 != Code::kOk) {
-                                      MaybeRetry(ctx,
-                                                 Status(c3, "mkdir: touch"));
-                                      return;
-                                    }
-                                    api_->Commit(ctx->txn, [this,
-                                                            ctx](Code c4) {
-                                      ctx->txn = 0;
-                                      if (c4 != Code::kOk) {
-                                        MaybeRetry(ctx,
-                                                   Status(c4, "mkdir: commit"));
-                                        return;
-                                      }
-                                      Finish(ctx, FsResult{});
-                                    });
-                                  });
-                   });
-             });
+  LockParent(ctx, ctx->dir_row_key, ctx->dir, [this](OpPtr ctx) {
+    InodeRow child;
+    child.id = NextInodeId();
+    child.is_dir = true;
+    child.permissions = ctx->req.permissions;
+    child.owner = ctx->req.user;
+    child.mtime_ns = sim_.now();
+    api_->Insert(ctx->txn, tables_.inodes, ctx->target_key(), child.Encode(),
+                 AfterWrite(ctx, [this](OpPtr ctx) { TouchParent(ctx); }));
+  });
 }
 
-// ---------------------------------------------------------------------------
-// create
-// ---------------------------------------------------------------------------
-
-void Namenode::DoCreate(std::shared_ptr<OpCtx> ctx) {
+void Namenode::DoCreate(OpPtr ctx) {
   PROF_ZONE("nn.op.create");
-  api_->Read(ctx->txn, tables_.inodes, std::string(ctx->dir_row_key),
-             ndb::LockMode::kExclusive,
-             [this, ctx](Code code, std::optional<std::string> value) {
-               if (code != Code::kOk) {
-                 MaybeRetry(ctx, Status(code, "create: parent lock"));
-                 return;
-               }
-               auto parent = DecodeInode(value);
-               if (!parent || !parent->is_dir) {
-                 MaybeRetry(ctx, NotFound("create: parent missing"));
-                 return;
-               }
-               if (!HasAccess(*parent, ctx->req.user, kWrite)) {
-                 REPRO_DENY(ctx, "create: no write access to parent");
-                 return;
-               }
-
-               const int64_t size = ctx->req.size;
-               InodeRow file;
-               file.id = NextInodeId();
-               file.is_dir = false;
-               file.size = size;
-               file.permissions = ctx->req.permissions;
-               file.owner = ctx->req.user;
-               file.mtime_ns = sim_.now();
-               file.has_inline_data = size > 0 && size < kSmallFileThreshold;
-               file.num_blocks =
-                   size >= kSmallFileThreshold
-                       ? static_cast<int32_t>((size + kDefaultBlockSize - 1) /
-                                              kDefaultBlockSize)
-                       : 0;
-
-               // Collect all row writes of this transaction, then commit
-               // once every prepare has been acknowledged.
-               auto pending = std::make_shared<int>(0);
-               auto failed = std::make_shared<Code>(Code::kOk);
-               auto result = std::make_shared<FsResult>();
-               auto one_done = [this, ctx, pending, failed,
-                                result](Code c) mutable {
-                 if (c != Code::kOk && *failed == Code::kOk) *failed = c;
-                 if (--*pending > 0) return;
-                 if (*failed != Code::kOk) {
-                   MaybeRetry(ctx, Status(*failed, "create: write"));
-                   return;
-                 }
-                 api_->Commit(ctx->txn, [this, ctx, result](Code c2) {
-                   ctx->txn = 0;
-                   if (c2 != Code::kOk) {
-                     MaybeRetry(ctx, Status(c2, "create: commit"));
-                     return;
-                   }
-                   Finish(ctx, std::move(*result));
-                 });
-               };
-
-               // Reserve every completion slot before issuing any
-               // operation: a synchronously-failing op must not drive the
-               // counter to zero while later ops are still unissued.
-               *pending += 1;  // the inode insert
-               if (file.has_inline_data) *pending += 1;
-               *pending += 1;  // the parent mtime touch
-               std::vector<BlockRow> blocks;
-               if (file.num_blocks > 0) {
-                 int64_t remaining = size;
-                 for (int32_t i = 0; i < file.num_blocks; ++i) {
-                   BlockRow b;
-                   b.block_id = NextBlockId();
-                   b.num_bytes = std::min<int64_t>(remaining,
-                                                   kDefaultBlockSize);
-                   remaining -= b.num_bytes;
-                   if (dn_registry_ != nullptr && placement_ != nullptr) {
-                     const AzId writer = ctx->req.client_az != kNoAz
-                                             ? ctx->req.client_az
-                                             : az_;
-                     for (blocks::DnId d : placement_->ChooseTargets(
-                              config_.block_replication, writer,
-                              *dn_registry_, sim_.now(), rng_)) {
-                       b.replicas.push_back(d);
-                     }
-                   }
-                   *pending += 1;                                  // block row
-                   *pending += static_cast<int>(b.replicas.size());  // index
-                   blocks.push_back(std::move(b));
-                 }
-               }
-               result->new_blocks = blocks;
-               result->inode = file;
-
-               api_->Insert(ctx->txn, tables_.inodes,
-                            InodeKey(ctx->dir, ctx->base), file.Encode(),
-                            one_done);
-               if (file.has_inline_data) {
-                 api_->Write(ctx->txn, tables_.inline_data,
-                             InlineDataKey(file.id),
-                             std::string(static_cast<size_t>(size), 'd'),
-                             one_done);
-               }
-               for (size_t i = 0; i < blocks.size(); ++i) {
-                 const std::string bkey =
-                     BlockKey(file.id, static_cast<int32_t>(i));
-                 api_->Insert(ctx->txn, tables_.blocks, bkey,
-                              blocks[i].Encode(), one_done);
-                 for (blocks::DnId d : blocks[i].replicas) {
-                   api_->Insert(ctx->txn, tables_.dn_blocks,
-                                DnBlockKey(d, blocks[i].block_id), bkey,
-                                one_done);
-                 }
-               }
-               InodeRow p = *parent;
-               p.mtime_ns = sim_.now();
-               api_->Update(ctx->txn, tables_.inodes,
-                            std::string(ctx->dir_row_key), p.Encode(),
-                            one_done);
-             });
+  LockParent(ctx, ctx->dir_row_key, ctx->dir, [this](OpPtr ctx) {
+    const int64_t size = ctx->req.size;
+    InodeRow& file = ctx->result.inode;
+    file.id = NextInodeId();
+    file.is_dir = false;
+    file.size = size;
+    file.permissions = ctx->req.permissions;
+    file.owner = ctx->req.user;
+    file.mtime_ns = sim_.now();
+    file.has_inline_data = size > 0 && size < kSmallFileThreshold;
+    file.num_blocks =
+        size >= kSmallFileThreshold
+            ? static_cast<int32_t>((size + kDefaultBlockSize - 1) /
+                                   kDefaultBlockSize)
+            : 0;
+    OpenBatch(ctx);
+    api_->Insert(ctx->txn, tables_.inodes, ctx->target_key(), file.Encode(),
+                 Batched(ctx));
+    if (file.has_inline_data) {
+      api_->Write(ctx->txn, tables_.inline_data, InlineDataKey(file.id),
+                  std::string(static_cast<size_t>(size), 'd'), Batched(ctx));
+    }
+    for (int32_t i = 0; i < file.num_blocks; ++i) {
+      AddBlock(ctx, file.id, i, size);
+    }
+    TouchParent(ctx);
+    CloseBatch(ctx);
+  });
 }
 
-// ---------------------------------------------------------------------------
-// stat
-// ---------------------------------------------------------------------------
-
-// Read-only operations (stat, listing, open) read the target inode with
-// read committed instead of a shared lock (§I: "read and fstat ... prefer
-// reading replicas local to the client's AZ - enabled by synchronous
-// replication"): with Read Backup the commit ack guarantees every replica
-// is current, so the lock-free read is consistent and AZ-local.
-void Namenode::DoStat(std::shared_ptr<OpCtx> ctx) {
-  PROF_ZONE("nn.op.stat");
-  // The wire key is built directly in the call: one string materialised,
-  // no named copy (this runs synchronously inside nn.op.dispatch).
-  api_->Read(ctx->txn, tables_.inodes,
-             ctx->req.path == "/" ? InodeKey(0, "")
-                                  : InodeKey(ctx->dir, ctx->base),
-             ndb::LockMode::kReadCommitted,
-             [this, ctx](Code code, std::optional<std::string> value) {
-               if (code != Code::kOk) {
-                 MaybeRetry(ctx, Status(code, "stat: read"));
-                 return;
-               }
-               auto row = DecodeInode(value);
-               if (!row) {
-                 MaybeRetry(ctx, NotFound("stat: no such path"));
-                 return;
-               }
-               if (!HasAccess(*row, ctx->req.user, kRead)) {
-                 REPRO_DENY(ctx, "stat: no read access");
-                 return;
-               }
-               FsResult r;
-               r.inode = *row;
-               api_->Commit(ctx->txn, [this, ctx, r](Code c2) mutable {
-                 ctx->txn = 0;
-                 if (c2 != Code::kOk) {
-                   MaybeRetry(ctx, Status(c2, "stat: commit"));
-                   return;
-                 }
-                 Finish(ctx, std::move(r));
-               });
-             });
-}
-
-// ---------------------------------------------------------------------------
-// open / read file
-// ---------------------------------------------------------------------------
-
-void Namenode::DoOpenRead(std::shared_ptr<OpCtx> ctx) {
-  PROF_ZONE("nn.op.open_read");
-  api_->Read(
-      ctx->txn, tables_.inodes,
-      ctx->req.path == "/" ? InodeKey(0, "") : InodeKey(ctx->dir, ctx->base),
-      ndb::LockMode::kReadCommitted,
-      [this, ctx](Code code, std::optional<std::string> value) {
-        if (code != Code::kOk) {
-          MaybeRetry(ctx, Status(code, "read: stat"));
-          return;
-        }
-        auto row = DecodeInode(value);
-        if (!row) {
-          MaybeRetry(ctx, NotFound("read: no such file"));
-          return;
-        }
-        if (!HasAccess(*row, ctx->req.user, kRead)) {
-          REPRO_DENY(ctx, "read: no read access");
-          return;
-        }
-        if (row->is_dir) {
-          api_->Abort(ctx->txn);
-          ctx->txn = 0;
-          FsResult r;
-          r.status = FailedPrecondition("read: is a directory");
-          Finish(ctx, std::move(r));
-          return;
-        }
-        auto finish_with = [this, ctx](FsResult r) {
-          api_->Commit(ctx->txn, [this, ctx, r](Code c) mutable {
-            ctx->txn = 0;
-            if (c != Code::kOk) {
-              MaybeRetry(ctx, Status(c, "read: commit"));
-              return;
-            }
-            Finish(ctx, std::move(r));
-          });
-        };
-        FsResult r;
-        r.inode = *row;
-        if (row->has_inline_data) {
-          // Small file: the payload lives with the metadata (§II-A3).
-          api_->Read(ctx->txn, tables_.inline_data, InlineDataKey(row->id),
-                     ndb::LockMode::kReadCommitted,
-                     [this, ctx, r, finish_with](
-                         Code c2, std::optional<std::string> data) mutable {
-                       if (c2 != Code::kOk) {
-                         MaybeRetry(ctx, Status(c2, "read: inline data"));
-                         return;
-                       }
-                       r.inline_bytes =
-                           data ? static_cast<int64_t>(data->size()) : 0;
-                       finish_with(std::move(r));
-                     });
-          return;
-        }
-        if (row->num_blocks > 0) {
-          api_->ScanPrefix(
-              ctx->txn, tables_.blocks, BlocksOfInodePrefix(row->id),
-              [this, ctx, r, finish_with](
-                  Code c2,
-                  std::vector<std::pair<ndb::Key, std::string>> rows) mutable {
-                if (c2 != Code::kOk) {
-                  MaybeRetry(ctx, Status(c2, "read: block scan"));
-                  return;
-                }
-                for (const auto& [k, v] : rows) {
-                  BlockRow b;
-                  if (BlockRow::Decode(v, &b)) r.blocks.push_back(b);
-                }
-                finish_with(std::move(r));
-              });
-          return;
-        }
-        finish_with(std::move(r));
-      });
-}
-
-// ---------------------------------------------------------------------------
-// delete
-// ---------------------------------------------------------------------------
-
-void Namenode::DoDelete(std::shared_ptr<OpCtx> ctx) {
+void Namenode::DoDelete(OpPtr ctx) {
   PROF_ZONE("nn.op.delete");
-  api_->Read(
-      ctx->txn, tables_.inodes, std::string(ctx->dir_row_key),
-      ndb::LockMode::kExclusive,
-      [this, ctx](Code code, std::optional<std::string> pvalue) {
-        if (code != Code::kOk) {
-          MaybeRetry(ctx, Status(code, "delete: parent lock"));
-          return;
-        }
-        auto parent = DecodeInode(pvalue);
-        if (!parent) {
-          MaybeRetry(ctx, NotFound("delete: parent missing"));
-          return;
-        }
-        if (!HasAccess(*parent, ctx->req.user, kWrite)) {
-          REPRO_DENY(ctx, "delete: no write access to parent");
-          return;
-        }
-        api_->Read(
-            ctx->txn, tables_.inodes, InodeKey(ctx->dir, ctx->base),
-            ndb::LockMode::kExclusive,
-            [this, ctx, parent](Code c2, std::optional<std::string> value) {
-              if (c2 != Code::kOk) {
-                MaybeRetry(ctx, Status(c2, "delete: target lock"));
-                return;
-              }
-              auto row = DecodeInode(value);
-              if (!row) {
-                MaybeRetry(ctx, NotFound("delete: no such path"));
-                return;
-              }
-              auto proceed = [this, ctx, parent,
-                              row](std::vector<BlockRow> blocks) {
-                auto pending = std::make_shared<int>(0);
-                auto failed = std::make_shared<Code>(Code::kOk);
-                auto blocks_copy =
-                    std::make_shared<std::vector<BlockRow>>(blocks);
-                auto one_done = [this, ctx, pending, failed,
-                                 blocks_copy](Code c) {
-                  if (c != Code::kOk && *failed == Code::kOk) *failed = c;
-                  if (--*pending > 0) return;
-                  if (*failed != Code::kOk) {
-                    MaybeRetry(ctx, Status(*failed, "delete: write"));
-                    return;
-                  }
-                  api_->Commit(ctx->txn, [this, ctx, blocks_copy](Code cc) {
-                    ctx->txn = 0;
-                    if (cc != Code::kOk) {
-                      MaybeRetry(ctx, Status(cc, "delete: commit"));
-                      return;
-                    }
-                    // Post-commit: tell the datanodes to drop replicas.
-                    if (dn_registry_ != nullptr) {
-                      for (const auto& b : *blocks_copy) {
-                        for (blocks::DnId d : b.replicas) {
-                          auto* dn = dn_registry_->dn(d);
-                          network_.Send(host_, dn->host(), 96,
-                                        [dn, id = b.block_id] {
-                                          dn->DeleteBlock(id);
-                                        });
-                        }
-                      }
-                    }
-                    Finish(ctx, FsResult{});
-                  });
-                };
-
-                *pending += 1;  // target delete
-                if (row->has_inline_data) *pending += 1;
-                for (const auto& b : blocks) {
-                  *pending += 1;  // block row
-                  *pending += static_cast<int>(b.replicas.size());
-                }
-                *pending += 1;  // parent touch
-
-                api_->Delete(ctx->txn, tables_.inodes,
-                             InodeKey(ctx->dir, ctx->base), one_done);
-                if (row->has_inline_data) {
-                  api_->Delete(ctx->txn, tables_.inline_data,
-                               InlineDataKey(row->id), one_done);
-                }
-                for (size_t i = 0; i < blocks.size(); ++i) {
-                  api_->Delete(ctx->txn, tables_.blocks,
-                               BlockKey(row->id, static_cast<int32_t>(i)),
-                               one_done);
-                  for (blocks::DnId d : blocks[i].replicas) {
-                    api_->Delete(ctx->txn, tables_.dn_blocks,
-                                 DnBlockKey(d, blocks[i].block_id), one_done);
-                  }
-                }
-                InodeRow p = *parent;
-                p.mtime_ns = sim_.now();
-                api_->Update(ctx->txn, tables_.inodes,
-                             std::string(ctx->dir_row_key), p.Encode(),
-                             one_done);
-              };
-
-              if (row->is_dir) {
-                api_->ScanPrefix(
-                    ctx->txn, tables_.inodes, InodeChildrenPrefix(row->id),
-                    [this, ctx, proceed](
-                        Code c3,
-                        std::vector<std::pair<ndb::Key, std::string>> rows) {
-                      if (c3 != Code::kOk) {
-                        MaybeRetry(ctx, Status(c3, "delete: child scan"));
-                        return;
-                      }
-                      if (!rows.empty()) {
-                        api_->Abort(ctx->txn);
-                        ctx->txn = 0;
-                        FsResult r;
-                        r.status =
-                            FailedPrecondition("delete: directory not empty");
-                        Finish(ctx, std::move(r));
-                        return;
-                      }
-                      proceed({});
-                    });
-                return;
-              }
-              if (row->num_blocks > 0) {
-                api_->ScanPrefix(
-                    ctx->txn, tables_.blocks, BlocksOfInodePrefix(row->id),
-                    [this, ctx, proceed](
-                        Code c3,
-                        std::vector<std::pair<ndb::Key, std::string>> rows) {
-                      if (c3 != Code::kOk) {
-                        MaybeRetry(ctx, Status(c3, "delete: block scan"));
-                        return;
-                      }
-                      std::vector<BlockRow> blocks;
-                      for (const auto& [k, v] : rows) {
-                        BlockRow b;
-                        if (BlockRow::Decode(v, &b)) blocks.push_back(b);
-                      }
-                      proceed(std::move(blocks));
-                    });
-                return;
-              }
-              proceed({});
-            });
-      });
-}
-
-// ---------------------------------------------------------------------------
-// listdir
-// ---------------------------------------------------------------------------
-
-void Namenode::DoListDir(std::shared_ptr<OpCtx> ctx) {
-  PROF_ZONE("nn.op.list_dir");
-  api_->Read(
-      ctx->txn, tables_.inodes,
-      ctx->req.path == "/" ? InodeKey(0, "") : InodeKey(ctx->dir, ctx->base),
-      ndb::LockMode::kReadCommitted,
-      [this, ctx](Code code, std::optional<std::string> value) {
-        if (code != Code::kOk) {
-          MaybeRetry(ctx, Status(code, "ls: read"));
-          return;
-        }
-        auto row = DecodeInode(value);
-        if (!row) {
-          MaybeRetry(ctx, NotFound("ls: no such path"));
-          return;
-        }
-        if (!HasAccess(*row, ctx->req.user, kRead)) {
-          REPRO_DENY(ctx, "ls: no read access");
-          return;
-        }
-        FsResult r;
-        r.inode = *row;
-        if (!row->is_dir) {
-          // HDFS semantics: listing a file returns the file itself.
-          r.children.emplace_back(ctx->base);
-          api_->Commit(ctx->txn, [this, ctx, r](Code c2) mutable {
-            ctx->txn = 0;
-            if (c2 != Code::kOk) {
-              MaybeRetry(ctx, Status(c2, "ls: commit"));
-              return;
-            }
-            Finish(ctx, std::move(r));
-          });
-          return;
-        }
-        const std::string prefix = InodeChildrenPrefix(row->id);
-        api_->ScanPrefix(
-            ctx->txn, tables_.inodes, prefix,
-            [this, ctx, r, prefix](
-                Code c2,
-                std::vector<std::pair<ndb::Key, std::string>> rows) mutable {
-              if (c2 != Code::kOk) {
-                MaybeRetry(ctx, Status(c2, "ls: scan"));
-                return;
-              }
-              for (const auto& [k, v] : rows) {
-                r.children.push_back(k.substr(prefix.size()));
-              }
-              api_->Commit(ctx->txn, [this, ctx, r](Code c3) mutable {
-                ctx->txn = 0;
-                if (c3 != Code::kOk) {
-                  MaybeRetry(ctx, Status(c3, "ls: commit"));
-                  return;
-                }
-                Finish(ctx, std::move(r));
+  LockParent(ctx, ctx->dir_row_key, ctx->dir, [this](OpPtr ctx) {
+    ReadInode(ctx, ctx->target_key(), ndb::LockMode::kExclusive,
+              [this](OpPtr ctx, InodeRow& row) {
+                ctx->subtree.push_back({ctx->target_key(), row, {}});
+                if (!row.is_dir) return DeleteSubtree(ctx);
+                Scan(ctx, tables_.inodes, InodeChildrenPrefix(row.id),
+                     [this](OpPtr ctx, Rows& children) {
+                       if (!children.empty()) {
+                         return Fail(ctx, FailedPrecondition(
+                                              "delete: directory not empty"));
+                       }
+                       DeleteSubtree(ctx);
+                     });
               });
-            });
-      });
+  });
 }
 
-// ---------------------------------------------------------------------------
-// rename
-// ---------------------------------------------------------------------------
-
-void Namenode::DoRename(std::shared_ptr<OpCtx> ctx) {
+void Namenode::DoRename(OpPtr ctx) {
   PROF_ZONE("nn.op.rename");
   const std::string& src_path = ctx->req.path;
   const std::string& dst_path = ctx->req.path2;
@@ -583,502 +344,237 @@ void Namenode::DoRename(std::shared_ptr<OpCtx> ctx) {
                               dst_path[src_path.size()] == '/';
   if (src_path == "/" || dst_path.empty() || dst_path == "/" ||
       dst_inside_src) {
-    FsResult r;
-    r.status = InvalidArgument("rename: bad paths");
-    Finish(ctx, std::move(r));
-    return;
+    return Finish(ctx, InvalidArgument("rename: bad paths"));
   }
+  // With both parents locked: move the entry.
+  const auto move = [this](OpPtr ctx) {
+    ReadInode(
+        ctx, ctx->target_key(), ndb::LockMode::kExclusive,
+        [this](OpPtr ctx, InodeRow& row) {
+          api_->Insert(
+              ctx->txn, tables_.inodes, InodeKey(ctx->dst_dir, ctx->dst_base),
+              row.Encode(), AfterWrite(ctx, [this](OpPtr ctx) {
+                api_->Delete(ctx->txn, tables_.inodes, ctx->target_key(),
+                             Batched(ctx));
+              }));
+        });
+  };
   auto [dst_parent, dst_base] = SplitParentView(dst_path);
   ctx->dst_base = dst_base;  // view into req.path2, stable for the op
-  ResolveDir(ctx, dst_parent, [this, ctx](InodeId dst_dir,
-                                          std::string_view dst_key) {
+  ResolveDir(ctx, dst_parent, [this, move](OpPtr ctx, InodeId dst_dir,
+                                           std::string_view dst_key) {
     ctx->dst_dir = dst_dir;
-    ctx->dst_dir_row_key = ctx->arena.Intern(dst_key);
-
+    ctx->dst_dir_row_key = dst_key;
     // Lock the two parent directories in row-key order (deadlock
-    // avoidance), then move the entry.
-    std::vector<std::string> parent_keys;
-    parent_keys.emplace_back(ctx->dir_row_key);
-    if (ctx->dst_dir_row_key != ctx->dir_row_key) {
-      parent_keys.emplace_back(ctx->dst_dir_row_key);
-    }
-    std::sort(parent_keys.begin(), parent_keys.end());
-
-    auto after_parent_locks = [this, ctx] {
-      api_->Read(
-          ctx->txn, tables_.inodes, InodeKey(ctx->dir, ctx->base),
-          ndb::LockMode::kExclusive,
-          [this, ctx](Code code, std::optional<std::string> value) {
-            if (code != Code::kOk) {
-              MaybeRetry(ctx, Status(code, "rename: src lock"));
-              return;
+    // avoidance); a move within one directory locks it once.
+    const bool src_first = ctx->dir_row_key <= ctx->dst_dir_row_key;
+    LockParent(
+        ctx, src_first ? ctx->dir_row_key : ctx->dst_dir_row_key,
+        src_first ? ctx->dir : ctx->dst_dir, [this, move](OpPtr ctx) {
+          if (ctx->dir_row_key == ctx->dst_dir_row_key) {
+            // One row, two hints: both must name the locked directory.
+            if (ctx->dst_dir != ctx->dir) {
+              return MaybeRetry(ctx, NotFound("rename: stale parent hint"));
             }
-            auto row = DecodeInode(value);
-            if (!row) {
-              MaybeRetry(ctx, NotFound("rename: source missing"));
-              return;
-            }
-            api_->Insert(
-                ctx->txn, tables_.inodes,
-                InodeKey(ctx->dst_dir, ctx->dst_base), row->Encode(),
-                [this, ctx](Code c2) {
-                  if (c2 != Code::kOk) {
-                    MaybeRetry(ctx, Status(c2, "rename: dst insert"));
-                    return;
-                  }
-                  api_->Delete(
-                      ctx->txn, tables_.inodes, InodeKey(ctx->dir, ctx->base),
-                      [this, ctx](Code c3) {
-                        if (c3 != Code::kOk) {
-                          MaybeRetry(ctx, Status(c3, "rename: src delete"));
-                          return;
-                        }
-                        api_->Commit(ctx->txn, [this, ctx](Code c4) {
-                          ctx->txn = 0;
-                          if (c4 != Code::kOk) {
-                            MaybeRetry(ctx, Status(c4, "rename: commit"));
-                            return;
-                          }
-                          InvalidateSubtreeHints(ctx->req.path);
-                          Finish(ctx, FsResult{});
-                        });
-                      });
-                });
-          });
-      };
+            return move(ctx);
+          }
+          const bool dst_second = ctx->dir_row_key < ctx->dst_dir_row_key;
+          LockParent(ctx,
+                     dst_second ? ctx->dst_dir_row_key : ctx->dir_row_key,
+                     dst_second ? ctx->dst_dir : ctx->dir, move);
+        });
+  });
+}
 
-    // Sequentially X-lock the parents in sorted order. The self-
-    // referencing closure captures itself weakly (see ResolveDir).
-    auto lock_parent = std::make_shared<std::function<void(size_t)>>();
-    auto keys = std::make_shared<std::vector<std::string>>(parent_keys);
-    std::weak_ptr<std::function<void(size_t)>> weak_lock = lock_parent;
-    *lock_parent = [this, ctx, keys, weak_lock,
-                    after_parent_locks](size_t i) {
-      auto self = weak_lock.lock();
-      if (!self) return;
-      if (i == keys->size()) {
-        after_parent_locks();
-        return;
-      }
-      api_->Read(ctx->txn, tables_.inodes, (*keys)[i],
-                 ndb::LockMode::kExclusive,
-                 [this, ctx, self, i](
-                     Code code, std::optional<std::string> value) {
-                   if (code != Code::kOk) {
-                     MaybeRetry(ctx, Status(code, "rename: parent lock"));
-                     return;
-                   }
-                   auto parent = DecodeInode(value);
-                   if (!parent) {
-                     MaybeRetry(ctx, NotFound("rename: parent missing"));
-                     return;
-                   }
-                   if (!HasAccess(*parent, ctx->req.user, kWrite)) {
-                     REPRO_DENY(ctx, "rename: no write access to parent");
-                     return;
-                   }
-                   (*self)(i + 1);
-                 });
-    };
-    (*lock_parent)(0);
+void Namenode::DoDeleteRecursive(OpPtr ctx) {
+  PROF_ZONE("nn.op.delete_recursive");
+  if (ctx->req.path == "/") {
+    return Finish(ctx, InvalidArgument("cannot delete the root"));
+  }
+  // Lock the parent and the subtree root exclusively (the implicit
+  // subtree lock of HopsFS's subtree-operation protocol, condensed into
+  // one transaction at simulator scale), gather the subtree, then delete
+  // everything in one commit.
+  LockParent(ctx, ctx->dir_row_key, ctx->dir, [this](OpPtr ctx) {
+    ReadInode(ctx, ctx->target_key(), ndb::LockMode::kExclusive,
+              [this](OpPtr ctx, InodeRow& row) {
+                ctx->subtree.push_back({ctx->target_key(), row, {}});
+                if (row.is_dir) ctx->frontier.push_back(row.id);
+                WalkSubtree(ctx);
+              });
   });
 }
 
 // ---------------------------------------------------------------------------
-// chmod / chown / setTimes (attribute read-modify-write)
+// Reads: stat, open, listdir, du
 // ---------------------------------------------------------------------------
 
-void Namenode::DoSetAttr(std::shared_ptr<OpCtx> ctx) {
-  PROF_ZONE("nn.op.set_attr");
-  const std::string key =
-      ctx->req.path == "/" ? InodeKey(0, "") : InodeKey(ctx->dir, ctx->base);
-  api_->Read(ctx->txn, tables_.inodes, key, ndb::LockMode::kExclusive,
-             [this, ctx, key](Code code, std::optional<std::string> value) {
-               if (code != Code::kOk) {
-                 MaybeRetry(ctx, Status(code, "setattr: lock"));
-                 return;
-               }
-               auto row = DecodeInode(value);
-               if (!row) {
-                 MaybeRetry(ctx, NotFound("setattr: no such path"));
-                 return;
-               }
-               // chmod/chown require ownership (or the superuser);
-               // setTimes requires write access.
-               const std::string& user = ctx->req.user;
-               const bool is_owner = user.empty() || user == row->owner;
-               if ((ctx->req.op == FsOp::kChmod ||
-                    ctx->req.op == FsOp::kChown) &&
-                   !is_owner) {
-                 REPRO_DENY(ctx, "setattr: not the owner");
-                 return;
-               }
-               if (ctx->req.op == FsOp::kSetTimes &&
-                   !HasAccess(*row, user, kWrite)) {
-                 REPRO_DENY(ctx, "setattr: no write access");
-                 return;
-               }
-               switch (ctx->req.op) {
-                 case FsOp::kChmod:
-                   row->permissions = ctx->req.permissions;
-                   row->mtime_ns = sim_.now();
-                   break;
-                 case FsOp::kChown:
-                   row->owner = ctx->req.owner;
-                   row->mtime_ns = sim_.now();
-                   break;
-                 case FsOp::kSetTimes:
-                 default:
-                   row->mtime_ns = ctx->req.mtime_ns;
-                   break;
-               }
-               api_->Update(ctx->txn, tables_.inodes, key, row->Encode(),
-                            [this, ctx](Code c2) {
-                              if (c2 != Code::kOk) {
-                                MaybeRetry(ctx, Status(c2, "setattr: update"));
-                                return;
-                              }
-                              api_->Commit(ctx->txn, [this, ctx](Code c3) {
-                                ctx->txn = 0;
-                                if (c3 != Code::kOk) {
-                                  MaybeRetry(ctx,
-                                             Status(c3, "setattr: commit"));
-                                  return;
-                                }
-                                Finish(ctx, FsResult{});
-                              });
-                            });
+// Read-only operations (stat, listing, open) read the target inode with
+// read committed instead of a shared lock (§I: "read and fstat ... prefer
+// reading replicas local to the client's AZ - enabled by synchronous
+// replication"): with Read Backup the commit ack guarantees every replica
+// is current, so the lock-free read is consistent and AZ-local.
+void Namenode::DoStat(OpPtr ctx) {
+  PROF_ZONE("nn.op.stat");
+  ReadInode(ctx, ctx->target_key(), ndb::LockMode::kReadCommitted,
+            [this](OpPtr ctx, InodeRow& row) {
+              if (!HasAccess(row, ctx->req.user, kRead)) {
+                return Fail(ctx, Denied("stat: no read access"));
+              }
+              ctx->result.inode = std::move(row);
+              CommitAndFinish(ctx);
+            });
+}
+
+void Namenode::DoOpenRead(OpPtr ctx) {
+  PROF_ZONE("nn.op.open_read");
+  ReadInode(
+      ctx, ctx->target_key(), ndb::LockMode::kReadCommitted,
+      [this](OpPtr ctx, InodeRow& row) {
+        if (!HasAccess(row, ctx->req.user, kRead)) {
+          return Fail(ctx, Denied("read: no read access"));
+        }
+        if (row.is_dir) {
+          return Fail(ctx, FailedPrecondition("read: is a directory"));
+        }
+        ctx->result.inode = row;
+        if (row.has_inline_data) {
+          // Small file: the payload lives with the metadata (§II-A3).
+          return api_->Read(
+              ctx->txn, tables_.inline_data, InlineDataKey(row.id),
+              ndb::LockMode::kReadCommitted,
+              [this, ctx](Code code, std::optional<std::string> data) {
+                if (code != Code::kOk) {
+                  return MaybeRetry(ctx, Status(code, "read: inline data"));
+                }
+                ctx->result.inline_bytes =
+                    data ? static_cast<int64_t>(data->size()) : 0;
+                CommitAndFinish(ctx);
+              });
+        }
+        if (row.num_blocks == 0) return CommitAndFinish(ctx);
+        Scan(ctx, tables_.blocks, BlocksOfInodePrefix(row.id),
+             [this](OpPtr ctx, Rows& rows) {
+               ctx->result.blocks = DecodeBlocks(rows);
+               CommitAndFinish(ctx);
              });
+      });
+}
+
+void Namenode::DoListDir(OpPtr ctx) {
+  PROF_ZONE("nn.op.list_dir");
+  ReadInode(ctx, ctx->target_key(), ndb::LockMode::kReadCommitted,
+            [this](OpPtr ctx, InodeRow& row) {
+              if (!HasAccess(row, ctx->req.user, kRead)) {
+                return Fail(ctx, Denied("ls: no read access"));
+              }
+              ctx->result.inode = row;
+              if (!row.is_dir) {
+                // HDFS semantics: listing a file returns the file itself.
+                ctx->result.children.emplace_back(ctx->base);
+                return CommitAndFinish(ctx);
+              }
+              std::string prefix = InodeChildrenPrefix(row.id);
+              const size_t skip = prefix.size();
+              Scan(ctx, tables_.inodes, std::move(prefix),
+                   [this, skip](OpPtr ctx, Rows& rows) {
+                     for (const auto& [key, value] : rows) {
+                       ctx->result.children.push_back(key.substr(skip));
+                     }
+                     CommitAndFinish(ctx);
+                   });
+            });
+}
+
+void Namenode::DoContentSummary(OpPtr ctx) {
+  PROF_ZONE("nn.op.content_summary");
+  ReadInode(ctx, ctx->target_key(), ndb::LockMode::kReadCommitted,
+            [this](OpPtr ctx, InodeRow& row) {
+              ctx->subtree.push_back({{}, row, {}});
+              if (!row.is_dir) return FinishSummary(ctx);
+              ctx->frontier.push_back(row.id);
+              WalkSubtree(ctx);
+            });
 }
 
 // ---------------------------------------------------------------------------
-// append
+// Inode updates: chmod / chown / setTimes, append
 // ---------------------------------------------------------------------------
 
-void Namenode::DoAppend(std::shared_ptr<OpCtx> ctx) {
+void Namenode::DoSetAttr(OpPtr ctx) {
+  PROF_ZONE("nn.op.set_attr");
+  ReadInode(ctx, ctx->target_key(), ndb::LockMode::kExclusive,
+            [this](OpPtr ctx, InodeRow& row) {
+              // chmod/chown require ownership (or the superuser);
+              // setTimes requires write access.
+              const FsRequest& req = ctx->req;
+              const bool is_owner = req.user.empty() || req.user == row.owner;
+              switch (req.op) {
+                case FsOp::kChmod:
+                case FsOp::kChown:
+                  if (!is_owner) {
+                    return Fail(ctx, Denied("setattr: not the owner"));
+                  }
+                  if (req.op == FsOp::kChmod) {
+                    row.permissions = req.permissions;
+                  } else {
+                    row.owner = req.owner;
+                  }
+                  row.mtime_ns = sim_.now();
+                  break;
+                default:  // kSetTimes
+                  if (!HasAccess(row, req.user, kWrite)) {
+                    return Fail(ctx, Denied("setattr: no write access"));
+                  }
+                  row.mtime_ns = req.mtime_ns;
+                  break;
+              }
+              api_->Update(ctx->txn, tables_.inodes, ctx->target_key(),
+                           row.Encode(), Batched(ctx));
+            });
+}
+
+void Namenode::DoAppend(OpPtr ctx) {
   PROF_ZONE("nn.op.append");
-  const std::string key = InodeKey(ctx->dir, ctx->base);
-  api_->Read(
-      ctx->txn, tables_.inodes, key, ndb::LockMode::kExclusive,
-      [this, ctx, key](Code code, std::optional<std::string> value) {
-        if (code != Code::kOk) {
-          MaybeRetry(ctx, Status(code, "append: lock"));
-          return;
+  ReadInode(
+      ctx, ctx->target_key(), ndb::LockMode::kExclusive,
+      [this](OpPtr ctx, InodeRow& row) {
+        if (!HasAccess(row, ctx->req.user, kWrite)) {
+          return Fail(ctx, Denied("append: no write access"));
         }
-        auto row = DecodeInode(value);
-        if (!row) {
-          MaybeRetry(ctx, NotFound("append: no such file"));
-          return;
+        if (row.is_dir) {
+          return Fail(ctx, FailedPrecondition("append: is a directory"));
         }
-        if (!HasAccess(*row, ctx->req.user, kWrite)) {
-          REPRO_DENY(ctx, "append: no write access");
-          return;
-        }
-        if (row->is_dir) {
-          api_->Abort(ctx->txn);
-          ctx->txn = 0;
-          FsResult r;
-          r.status = FailedPrecondition("append: is a directory");
-          Finish(ctx, std::move(r));
-          return;
-        }
-
-        const int64_t old_size = row->size;
-        const int64_t new_size = old_size + ctx->req.size;
-        InodeRow updated = *row;
-        updated.size = new_size;
-        updated.mtime_ns = sim_.now();
-
-        auto pending = std::make_shared<int>(0);
-        auto failed = std::make_shared<Code>(Code::kOk);
-        auto result = std::make_shared<FsResult>();
-        auto one_done = [this, ctx, pending, failed, result](Code c) {
-          if (c != Code::kOk && *failed == Code::kOk) *failed = c;
-          if (--*pending > 0) return;
-          if (*failed != Code::kOk) {
-            MaybeRetry(ctx, Status(*failed, "append: write"));
-            return;
-          }
-          api_->Commit(ctx->txn, [this, ctx, result](Code c2) {
-            ctx->txn = 0;
-            if (c2 != Code::kOk) {
-              MaybeRetry(ctx, Status(c2, "append: commit"));
-              return;
-            }
-            Finish(ctx, std::move(*result));
-          });
-        };
-
-        // Reserve the inode-update slot up front (see DoCreate).
-        *pending += 1;
-        std::vector<BlockRow> new_blocks;
-        if (new_size < kSmallFileThreshold) {
+        InodeRow& file = ctx->result.inode;
+        file = row;
+        file.size += ctx->req.size;
+        file.mtime_ns = sim_.now();
+        OpenBatch(ctx);
+        if (file.size < kSmallFileThreshold) {
           // Still small: grow the inline payload (§II-A3).
-          updated.has_inline_data = new_size > 0;
-          if (updated.has_inline_data) {
-            *pending += 1;
-            api_->Write(ctx->txn, tables_.inline_data,
-                        InlineDataKey(updated.id),
-                        std::string(static_cast<size_t>(new_size), 'd'),
-                        one_done);
+          file.has_inline_data = file.size > 0;
+          if (file.has_inline_data) {
+            api_->Write(ctx->txn, tables_.inline_data, InlineDataKey(file.id),
+                        std::string(static_cast<size_t>(file.size), 'd'),
+                        Batched(ctx));
           }
         } else {
           // Crosses (or is already past) the threshold: block storage.
-          if (row->has_inline_data) {
-            *pending += 1;
+          if (file.has_inline_data) {
             api_->Delete(ctx->txn, tables_.inline_data,
-                         InlineDataKey(updated.id), one_done);
-            updated.has_inline_data = false;
+                         InlineDataKey(file.id), Batched(ctx));
+            file.has_inline_data = false;
           }
-          const int32_t blocks_needed = static_cast<int32_t>(
-              (new_size + kDefaultBlockSize - 1) / kDefaultBlockSize);
-          for (int32_t i = updated.num_blocks; i < blocks_needed; ++i) {
-            BlockRow b;
-            b.block_id = NextBlockId();
-            b.num_bytes =
-                std::min<int64_t>(kDefaultBlockSize,
-                                  new_size - int64_t{i} * kDefaultBlockSize);
-            if (dn_registry_ != nullptr && placement_ != nullptr) {
-              const AzId writer = ctx->req.client_az != kNoAz
-                                      ? ctx->req.client_az
-                                      : az_;
-              for (blocks::DnId d : placement_->ChooseTargets(
-                       config_.block_replication, writer, *dn_registry_,
-                       sim_.now(), rng_)) {
-                b.replicas.push_back(d);
-              }
-            }
-            *pending += 1;
-            api_->Insert(ctx->txn, tables_.blocks, BlockKey(updated.id, i),
-                         b.Encode(), one_done);
-            for (blocks::DnId d : b.replicas) {
-              *pending += 1;
-              api_->Insert(ctx->txn, tables_.dn_blocks,
-                           DnBlockKey(d, b.block_id), BlockKey(updated.id, i),
-                           one_done);
-            }
-            new_blocks.push_back(std::move(b));
+          const int32_t needed = static_cast<int32_t>(
+              (file.size + kDefaultBlockSize - 1) / kDefaultBlockSize);
+          for (int32_t i = file.num_blocks; i < needed; ++i) {
+            AddBlock(ctx, file.id, i, file.size);
           }
-          updated.num_blocks = blocks_needed;
+          file.num_blocks = needed;
         }
-        result->new_blocks = std::move(new_blocks);
-        result->inode = updated;
-        api_->Update(ctx->txn, tables_.inodes, key, updated.Encode(),
-                     one_done);
-      });
-}
-
-// ---------------------------------------------------------------------------
-// content summary (du)
-// ---------------------------------------------------------------------------
-
-void Namenode::DoContentSummary(std::shared_ptr<OpCtx> ctx) {
-  PROF_ZONE("nn.op.content_summary");
-  api_->Read(
-      ctx->txn, tables_.inodes,
-      ctx->req.path == "/" ? InodeKey(0, "") : InodeKey(ctx->dir, ctx->base),
-      ndb::LockMode::kReadCommitted,
-      [this, ctx](Code code, std::optional<std::string> value) {
-        if (code != Code::kOk) {
-          MaybeRetry(ctx, Status(code, "du: read"));
-          return;
-        }
-        auto row = DecodeInode(value);
-        if (!row) {
-          MaybeRetry(ctx, NotFound("du: no such path"));
-          return;
-        }
-        auto result = std::make_shared<FsResult>();
-        if (!row->is_dir) {
-          result->cs_files = 1;
-          result->cs_bytes = row->size;
-          api_->Commit(ctx->txn, [this, ctx, result](Code c) {
-            ctx->txn = 0;
-            if (c != Code::kOk) {
-              MaybeRetry(ctx, Status(c, "du: commit"));
-              return;
-            }
-            Finish(ctx, std::move(*result));
-          });
-          return;
-        }
-        result->cs_dirs = 1;
-        // Breadth-first walk over directory partitions with committed
-        // scans (read-only: no locks; a concurrent mutation may be
-        // half-visible, like HDFS's du).
-        auto frontier = std::make_shared<std::vector<InodeId>>();
-        frontier->push_back(row->id);
-        auto step = std::make_shared<std::function<void()>>();
-        std::weak_ptr<std::function<void()>> weak = step;
-        *step = [this, ctx, result, frontier, weak] {
-          auto self = weak.lock();
-          if (!self) return;
-          // A du over a huge subtree can outlive its deadline mid-walk:
-          // stop between scan batches rather than finishing doomed work.
-          if (resilience::DeadlineExpired(ctx->req.deadline, sim_.now())) {
-            MaybeRetry(ctx, DeadlineExceeded("du: deadline passed"));
-            return;
-          }
-          if (frontier->empty()) {
-            api_->Commit(ctx->txn, [this, ctx, result](Code c) {
-              ctx->txn = 0;
-              if (c != Code::kOk) {
-                MaybeRetry(ctx, Status(c, "du: commit"));
-                return;
-              }
-              Finish(ctx, std::move(*result));
-            });
-            return;
-          }
-          const InodeId dir = frontier->back();
-          frontier->pop_back();
-          api_->ScanPrefix(
-              ctx->txn, tables_.inodes, InodeChildrenPrefix(dir),
-              [this, ctx, result, frontier, self](
-                  Code c, std::vector<std::pair<ndb::Key, std::string>> rows) {
-                if (c != Code::kOk) {
-                  MaybeRetry(ctx, Status(c, "du: scan"));
-                  return;
-                }
-                for (const auto& [k, v] : rows) {
-                  InodeRow child;
-                  if (!InodeRow::Decode(v, &child)) continue;
-                  if (child.is_dir) {
-                    result->cs_dirs += 1;
-                    frontier->push_back(child.id);
-                  } else {
-                    result->cs_files += 1;
-                    result->cs_bytes += child.size;
-                  }
-                }
-                (*self)();
-              });
-        };
-        (*step)();
-      });
-}
-
-// ---------------------------------------------------------------------------
-// recursive delete (subtree operation)
-// ---------------------------------------------------------------------------
-
-void Namenode::DoDeleteRecursive(std::shared_ptr<OpCtx> ctx) {
-  PROF_ZONE("nn.op.delete_recursive");
-  if (ctx->req.path == "/") {
-    FsResult r;
-    r.status = InvalidArgument("cannot delete the root");
-    Finish(ctx, std::move(r));
-    return;
-  }
-  // Lock the parent and the subtree root exclusively (the implicit
-  // subtree lock of HopsFS's subtree-operation protocol, condensed into
-  // one transaction at simulator scale).
-  api_->Read(
-      ctx->txn, tables_.inodes, std::string(ctx->dir_row_key),
-      ndb::LockMode::kExclusive,
-      [this, ctx](Code code, std::optional<std::string> pvalue) {
-        if (code != Code::kOk) {
-          MaybeRetry(ctx, Status(code, "rmr: parent lock"));
-          return;
-        }
-        auto rparent = DecodeInode(pvalue);
-        if (!rparent) {
-          MaybeRetry(ctx, NotFound("rmr: parent missing"));
-          return;
-        }
-        if (!HasAccess(*rparent, ctx->req.user, kWrite)) {
-          REPRO_DENY(ctx, "rmr: no write access to parent");
-          return;
-        }
-        const std::string root_key = InodeKey(ctx->dir, ctx->base);
-        api_->Read(
-            ctx->txn, tables_.inodes, root_key, ndb::LockMode::kExclusive,
-            [this, ctx, root_key](Code c2,
-                                  std::optional<std::string> value) {
-              if (c2 != Code::kOk) {
-                MaybeRetry(ctx, Status(c2, "rmr: root lock"));
-                return;
-              }
-              auto row = DecodeInode(value);
-              if (!row) {
-                MaybeRetry(ctx, NotFound("rmr: no such path"));
-                return;
-              }
-              // Gather the subtree (keys + inode rows) breadth-first,
-              // then delete everything in one commit.
-              struct Gather {
-                std::vector<std::pair<std::string, InodeRow>> doomed;
-                std::vector<InodeId> frontier;
-              };
-              auto g = std::make_shared<Gather>();
-              g->doomed.emplace_back(root_key, *row);
-              if (row->is_dir) g->frontier.push_back(row->id);
-
-              auto step = std::make_shared<std::function<void()>>();
-              std::weak_ptr<std::function<void()>> weak = step;
-              *step = [this, ctx, g, weak] {
-                auto self = weak.lock();
-                if (!self) return;
-                if (resilience::DeadlineExpired(ctx->req.deadline,
-                                                sim_.now())) {
-                  MaybeRetry(ctx, DeadlineExceeded("rmr: deadline passed"));
-                  return;
-                }
-                if (!g->frontier.empty()) {
-                  const InodeId dir = g->frontier.back();
-                  g->frontier.pop_back();
-                  api_->ScanPrefix(
-                      ctx->txn, tables_.inodes, InodeChildrenPrefix(dir),
-                      [this, ctx, g, dir, self](
-                          Code c,
-                          std::vector<std::pair<ndb::Key, std::string>> rows) {
-                        if (c != Code::kOk) {
-                          MaybeRetry(ctx, Status(c, "rmr: scan"));
-                          return;
-                        }
-                        for (const auto& [k, v] : rows) {
-                          InodeRow child;
-                          if (!InodeRow::Decode(v, &child)) continue;
-                          g->doomed.emplace_back(k, child);
-                          if (child.is_dir) g->frontier.push_back(child.id);
-                        }
-                        (*self)();
-                      });
-                  return;
-                }
-                // Delete every gathered row (plus inline payloads).
-                auto pending = std::make_shared<int>(0);
-                auto failed = std::make_shared<Code>(Code::kOk);
-                auto one_done = [this, ctx, pending, failed](Code c) {
-                  if (c != Code::kOk && *failed == Code::kOk) *failed = c;
-                  if (--*pending > 0) return;
-                  if (*failed != Code::kOk) {
-                    MaybeRetry(ctx, Status(*failed, "rmr: delete"));
-                    return;
-                  }
-                  api_->Commit(ctx->txn, [this, ctx](Code c2) {
-                    ctx->txn = 0;
-                    if (c2 != Code::kOk) {
-                      MaybeRetry(ctx, Status(c2, "rmr: commit"));
-                      return;
-                    }
-                    Finish(ctx, FsResult{});
-                  });
-                };
-                for (const auto& [k, inode] : g->doomed) {
-                  *pending += 1;
-                  if (inode.has_inline_data) *pending += 1;
-                }
-                for (const auto& [k, inode] : g->doomed) {
-                  api_->Delete(ctx->txn, tables_.inodes, k, one_done);
-                  if (inode.has_inline_data) {
-                    api_->Delete(ctx->txn, tables_.inline_data,
-                                 InlineDataKey(inode.id), one_done);
-                  }
-                }
-              };
-              (*step)();
-            });
+        api_->Update(ctx->txn, tables_.inodes, ctx->target_key(),
+                     file.Encode(), Batched(ctx));
+        CloseBatch(ctx);
       });
 }
 

@@ -1,5 +1,6 @@
-// Per-operation context shared by the namenode's transaction state
-// machines (namenode.cc / namenode_ops.cc).
+// Per-operation context threaded through the namenode's transaction
+// template (namenode.cc / namenode_ops.cc): every step takes it as an
+// argument, so continuations capture no per-op state of their own.
 #pragma once
 
 #include <charconv>
@@ -74,15 +75,28 @@ class OpArena {
   }
 
  private:
-  static constexpr size_t kInline = 512;
+  // An attempt interns at most ~40 bytes on the mdbench workloads. The
+  // block is kept small so OpCtx (one make_shared per op) stays within
+  // the allocator's per-thread cache, which serves requests up to ~1 KB
+  // in glibc; past that every op pays the slower general malloc path.
+  static constexpr size_t kInline = 128;
   size_t used_ = 0;
   char buf_[kInline];
   std::vector<std::unique_ptr<char[]>> overflow_;
 };
 
+// An inode gathered for a subtree operation (du, delete, rmr), with the
+// block rows a delete reclaims along with it.
+struct SubtreeInode {
+  std::string key;  // "parentId/name" row key
+  InodeRow inode;
+  std::vector<BlockRow> blocks;
+};
+
 struct Namenode::OpCtx {
   FsRequest req;
   FsResultCb done;
+  FsResult result;              // the reply, accumulated by the attempt
   int attempt = 0;
   ndb::TxnId txn = 0;
   bool used_cache = false;      // this attempt relied on the path cache
@@ -105,6 +119,44 @@ struct Namenode::OpCtx {
   InodeId dst_dir = 0;
   std::string_view dst_dir_row_key;
   std::string_view dst_base;
+
+  // ResolveDir's committed-read walk down one path, one component per
+  // NDB read; `row_key` is the last directory reached (arena-backed).
+  struct PathWalk {
+    std::vector<std::string_view> parts;  // views into `req`
+    size_t next = 0;
+    InodeId dir = 0;
+    std::string_view row_key;
+    ResolveCb then;
+  } walk;
+
+  InodeRow parent;  // the parent row LockParent locked last
+
+  // The attempt's write batch: writes still unacknowledged, and the
+  // first failure among them.
+  int pending_writes = 0;
+  Code write_failure = Code::kOk;
+
+  // Subtree operations: directories still to scan, every inode gathered
+  // so far, and the next one whose block rows are still to be read.
+  std::vector<InodeId> frontier;
+  std::vector<SubtreeInode> subtree;
+  size_t next_block_scan = 0;
+
+  // Row key of the operation's target inode ("0/" for the root).
+  std::string target_key() const { return InodeKey(dir, base); }
+
+  // Clears the per-attempt state (safe for the reason OpArena gives).
+  void ResetAttempt() {
+    used_cache = false;
+    arena.Reset();
+    result = FsResult{};
+    pending_writes = 0;
+    write_failure = Code::kOk;
+    frontier.clear();
+    subtree.clear();
+    next_block_scan = 0;
+  }
 };
 
 }  // namespace repro::hopsfs

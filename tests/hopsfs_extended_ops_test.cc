@@ -167,5 +167,183 @@ TEST(HopsFsExtendedOps, DeleteRecursiveRootRejected) {
             Code::kInvalidArgument);
 }
 
+TEST(HopsFsExtendedOps, DeleteRecursiveDropsBlockRows) {
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, /*num_nns=*/3, /*block_dns=*/6);
+  ndb::NdbCluster& ndb = fs.deployment->ndb();
+  const FsTables& tables = fs.deployment->tables();
+  const auto rows = [&](ndb::TableId table) {
+    int64_t n = 0;
+    for (int i = 0; i < ndb.num_datanodes(); ++i) {
+      n += ndb.datanode(i).store().row_count(table);
+    }
+    return n;
+  };
+  const auto replicas = [&] {
+    int64_t n = 0;
+    for (const auto& dn : fs.deployment->block_dns()) n += dn->block_count();
+    return n;
+  };
+  ASSERT_TRUE(fs.Mkdir("/rb").ok());
+  ASSERT_TRUE(fs.Mkdir("/rb/sub").ok());
+  ASSERT_TRUE(fs.Create("/rb/sub/big", 140 << 10).ok());  // one block
+  ASSERT_GT(rows(tables.blocks), 0);
+  ASSERT_GT(rows(tables.dn_blocks), 0);
+  ASSERT_GT(replicas(), 0);
+
+  ASSERT_TRUE(RunOp(fs, [&](auto cb) {
+                fs.client->DeleteRecursive("/rb", cb);
+              }).ok());
+  EXPECT_EQ(rows(tables.blocks), 0);
+  EXPECT_EQ(rows(tables.dn_blocks), 0);
+  fs.sim->RunFor(Seconds(1));  // the post-commit DeleteBlock sends land
+  EXPECT_EQ(replicas(), 0);
+}
+
+// Builds one FsRequest fluently (the test's op table stays one line per
+// op).
+struct Op {
+  Op(FsOp op, std::string path) {
+    req.op = op;
+    req.path = std::move(path);
+  }
+  Op& To(std::string p) { return req.path2 = std::move(p), *this; }
+  Op& Size(int64_t n) { return req.size = n, *this; }
+  Op& Perm(uint32_t p) { return req.permissions = p, *this; }
+  Op& Owner(std::string o) { return req.owner = std::move(o), *this; }
+  Op& Mtime(int64_t t) { return req.mtime_ns = t, *this; }
+  Op& As(std::string u) { return req.user = std::move(u), *this; }
+  FsRequest req;
+};
+
+// Pins the simulated behaviour of every FsOp, including the ones the
+// metadata benchmark never issues (append, chown, setTimes, content
+// summary, recursive delete) and the NotFound, PermissionDenied,
+// not-empty and bad-argument paths of each. Like mdbench's window
+// digest, it folds each op's (op, status code, sim latency) into an
+// FNV-1a hash, plus the sizes of its result payload; any change to the
+// NDB calls an op issues moves a latency and so the digest.
+TEST(HopsFsExtendedOps, EveryOpMatchesPinnedDigest) {
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, /*num_nns=*/3, /*block_dns=*/6);
+  struct Step {
+    Op op;
+    Code want;
+  };
+  constexpr Code kOk = Code::kOk;
+  constexpr Code kMissing = Code::kNotFound;
+  constexpr Code kDenied = Code::kPermissionDenied;
+  const std::vector<Step> steps = {
+      {Op(FsOp::kMkdir, "/d").Perm(0755), kOk},
+      {Op(FsOp::kMkdir, "/d"), Code::kAlreadyExists},
+      {Op(FsOp::kMkdir, "/"), Code::kAlreadyExists},
+      {Op(FsOp::kMkdir, "/nope/x"), kMissing},
+      {Op(FsOp::kMkdir, "/d/sub").Perm(0755), kOk},
+      {Op(FsOp::kMkdir, "/d/sub/deep").Perm(0755), kOk},
+      {Op(FsOp::kMkdir, "/d/priv").Perm(0700), kOk},
+      {Op(FsOp::kCreate, "/d/small").Size(1000), kOk},
+      {Op(FsOp::kCreate, "/d/big").Size(200 << 10), kOk},
+      {Op(FsOp::kCreate, "/d/empty"), kOk},
+      {Op(FsOp::kCreate, "/d/sub/f").Size(500), kOk},
+      {Op(FsOp::kCreate, "/d/sub/deep/g").Size(10), kOk},
+      {Op(FsOp::kCreate, "/d/priv/s").Perm(0600), kOk},
+      {Op(FsOp::kCreate, "/d/small"), Code::kAlreadyExists},
+      {Op(FsOp::kCreate, "/nope/f"), kMissing},
+      {Op(FsOp::kStat, "/d/small"), kOk},
+      {Op(FsOp::kStat, "/"), kOk},
+      {Op(FsOp::kStat, "/d/none"), kMissing},
+      {Op(FsOp::kOpenRead, "/d/small"), kOk},
+      {Op(FsOp::kOpenRead, "/d/big"), kOk},
+      {Op(FsOp::kOpenRead, "/d/empty"), kOk},
+      {Op(FsOp::kOpenRead, "/d"), Code::kFailedPrecondition},
+      {Op(FsOp::kOpenRead, "/d/none"), kMissing},
+      {Op(FsOp::kListDir, "/d"), kOk},
+      {Op(FsOp::kListDir, "/d/small"), kOk},
+      {Op(FsOp::kListDir, "/"), kOk},
+      {Op(FsOp::kListDir, "/d/none"), kMissing},
+      {Op(FsOp::kContentSummary, "/d"), kOk},
+      {Op(FsOp::kContentSummary, "/d/small"), kOk},
+      {Op(FsOp::kContentSummary, "/d/none"), kMissing},
+      {Op(FsOp::kChmod, "/d/small").Perm(0640), kOk},
+      {Op(FsOp::kChown, "/d/small").Owner("alice"), kOk},
+      {Op(FsOp::kSetTimes, "/d/small").Mtime(77), kOk},
+      {Op(FsOp::kChmod, "/d/none"), kMissing},
+      {Op(FsOp::kAppend, "/d/small").Size(2000), kOk},
+      {Op(FsOp::kAppend, "/d/empty").Size(200 << 10), kOk},
+      {Op(FsOp::kAppend, "/d/big").Size(1000), kOk},
+      {Op(FsOp::kAppend, "/d"), Code::kFailedPrecondition},
+      {Op(FsOp::kAppend, "/d/none"), kMissing},
+      {Op(FsOp::kRename, "/d/small").To("/d/sub/s2"), kOk},
+      {Op(FsOp::kRename, "/d/sub/f").To("/d/sub/deep/f"), kOk},
+      // A rename within one directory locks it once.
+      {Op(FsOp::kRename, "/d/sub/deep/f").To("/d/sub/deep/h"), kOk},
+      {Op(FsOp::kRename, "/d/empty").To("/d/sub"), Code::kAlreadyExists},
+      {Op(FsOp::kRename, "/d/none").To("/d/x"), kMissing},
+      {Op(FsOp::kRename, "/").To("/x"), Code::kInvalidArgument},
+      {Op(FsOp::kRename, "/d/sub").To("/d/sub/deep/x"), Code::kInvalidArgument},
+      {Op(FsOp::kDelete, "/d/sub"), Code::kFailedPrecondition},
+      {Op(FsOp::kDelete, "/d/big"), kOk},
+      {Op(FsOp::kDelete, "/d/priv/s"), kOk},
+      {Op(FsOp::kDelete, "/d/priv"), kOk},
+      {Op(FsOp::kDelete, "/d/none"), kMissing},
+      {Op(FsOp::kMkdir, "/d/locked").Perm(0700), kOk},
+      // A stranger: "other" bits only.
+      {Op(FsOp::kCreate, "/d/b").As("bob"), kDenied},
+      {Op(FsOp::kMkdir, "/d/b").As("bob"), kDenied},
+      {Op(FsOp::kStat, "/d/sub/s2").As("bob"), kDenied},
+      {Op(FsOp::kOpenRead, "/d/sub/s2").As("bob"), kDenied},
+      {Op(FsOp::kListDir, "/d/locked").As("bob"), kDenied},
+      {Op(FsOp::kChmod, "/d/empty").As("bob"), kDenied},
+      {Op(FsOp::kChown, "/d/empty").Owner("bob").As("bob"), kDenied},
+      {Op(FsOp::kSetTimes, "/d/empty").As("bob"), kDenied},
+      {Op(FsOp::kAppend, "/d/empty").Size(1).As("bob"), kDenied},
+      {Op(FsOp::kDelete, "/d/empty").As("bob"), kDenied},
+      {Op(FsOp::kRename, "/d/empty").To("/d/e2").As("bob"), kDenied},
+      {Op(FsOp::kDeleteRecursive, "/d/sub").As("bob"), kDenied},
+      {Op(FsOp::kContentSummary, "/d").As("bob"), kOk},
+      // Recursive delete over a subtree of inline-only files.
+      {Op(FsOp::kDeleteRecursive, "/"), Code::kInvalidArgument},
+      {Op(FsOp::kDeleteRecursive, "/d/none"), kMissing},
+      {Op(FsOp::kDeleteRecursive, "/d/sub"), kOk},
+      {Op(FsOp::kDeleteRecursive, "/d/locked"), kOk},
+      {Op(FsOp::kStat, "/d/sub/deep/g"), kMissing},
+      {Op(FsOp::kListDir, "/d"), kOk},
+      {Op(FsOp::kContentSummary, "/"), kOk},
+  };
+
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
+  const auto fold = [&digest](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (v >> (8 * i)) & 0xff;
+      digest *= 1099511628211ull;  // FNV prime
+    }
+  };
+  for (const Step& step : steps) {
+    const FsRequest& req = step.op.req;
+    FsResult result;
+    Nanos finished = -1;
+    const Nanos start = fs.sim->now();
+    fs.client->Submit(req, [&](FsResult r) {
+      result = std::move(r);
+      finished = fs.sim->now();
+    });
+    while (finished < 0 && fs.sim->now() < start + 30 * kSecond) {
+      fs.sim->RunUntil(fs.sim->now() + kMillisecond);
+    }
+    ASSERT_GE(finished, 0) << FsOpName(req.op) << " " << req.path;
+    EXPECT_EQ(result.status.code(), step.want)
+        << FsOpName(req.op) << " " << req.path << ": "
+        << result.status.ToString();
+    fold(static_cast<uint64_t>(req.op));
+    fold(static_cast<uint64_t>(result.status.code()));
+    fold(static_cast<uint64_t>(finished - start));
+    fold(result.children.size());
+    fold(result.blocks.size() + result.new_blocks.size());
+    fold(static_cast<uint64_t>(result.inline_bytes));
+    fold(static_cast<uint64_t>(result.cs_files + result.cs_dirs +
+                               result.cs_bytes));
+  }
+  EXPECT_EQ(StrFormat("%016llx", static_cast<unsigned long long>(digest)),
+            "bf566cd12ad78353");
+}
+
 }  // namespace
 }  // namespace repro::hopsfs

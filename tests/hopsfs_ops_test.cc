@@ -172,6 +172,36 @@ TEST(HopsFsOps, RenameDropsOnlyTheMovedSubtreesHints) {
   EXPECT_EQ(fs.Stat("/a/b/c/d/f").code(), Code::kNotFound);
 }
 
+TEST(HopsFsOps, StaleHintToRecreatedDirIsRevalidated) {
+  // One namenode, holding a hint for "/a/b" that predates a rename of
+  // /a/b and a new mkdir of the same path: the hint's row key now names
+  // the new directory while its id still names the moved one.
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, /*num_nns=*/1);
+  Namenode* nn = fs.deployment->namenode(0);
+  for (const char* d : {"/a", "/a/b", "/z"}) ASSERT_TRUE(fs.Mkdir(d).ok());
+  ASSERT_TRUE(fs.Create("/a/x").ok());
+  const InodeId a_id = fs.StatFull("/a").inode.id;
+  const InodeId old_b_id = fs.StatFull("/a/b").inode.id;
+  ASSERT_TRUE(fs.Rename("/a/b", "/z/b").ok());
+  ASSERT_TRUE(fs.Mkdir("/a/b").ok());
+  const auto plant_stale_hint = [&] {
+    nn->PrimePathCache("/a/b", old_b_id, InodeKey(a_id, "b"));
+  };
+
+  plant_stale_hint();
+  ASSERT_TRUE(fs.Create("/a/b/f").ok());
+  plant_stale_hint();
+  ASSERT_TRUE(fs.Mkdir("/a/b/g").ok());
+  plant_stale_hint();
+  ASSERT_TRUE(fs.Rename("/a/x", "/a/b/x").ok());
+
+  for (const char* name : {"f", "g", "x"}) {
+    EXPECT_TRUE(fs.Stat(std::string("/a/b/") + name).ok()) << name;
+    EXPECT_EQ(fs.Stat(std::string("/z/b/") + name).code(), Code::kNotFound)
+        << name << " landed in the moved directory";
+  }
+}
+
 TEST(HopsFsOps, ChmodUpdatesPermissions) {
   TestFs fs;
   ASSERT_TRUE(fs.Mkdir("/perm").ok());
