@@ -430,90 +430,89 @@ void HopsFsClient::HandleLargeFileIo(OpPtr op, FsResult result) {
     return;
   }
 
+  auto io = std::make_shared<BlockIo>();
+  io->op = std::move(op);
+  io->result = std::move(result);
+  io->writing = to_write != nullptr;
+  BlockIoNext(std::move(io), 0);
+}
+
+void HopsFsClient::BlockIoNext(std::shared_ptr<BlockIo> io, size_t i) {
+  const OpPtr& op = io->op;
+  if (op->done) return;  // a hedge already answered this op
+  const auto& blocks = io->writing ? io->result.new_blocks : io->result.blocks;
+  if (i >= blocks.size()) {
+    Deliver(op, std::move(io->result), false);
+    return;
+  }
+  // Deadline check between blocks: a multi-block transfer must not keep
+  // streaming for an op nobody is waiting on anymore.
   const Nanos deadline = op->req.deadline;
-  auto res = std::make_shared<FsResult>(std::move(result));
-  auto next = std::make_shared<std::function<void(size_t)>>();
-  std::weak_ptr<std::function<void(size_t)>> weak_next = next;
-  const bool writing = to_write != nullptr;
-  *next = [this, res, weak_next, op, writing, deadline](size_t i) {
-    auto next = weak_next.lock();
-    if (!next) return;
-    if (op->done) return;  // a hedge already answered this op
-    const auto& blocks = writing ? res->new_blocks : res->blocks;
-    if (i >= blocks.size()) {
-      Deliver(op, std::move(*res), false);
-      return;
+  if (resilience::DeadlineExpired(deadline, sim_.now())) {
+    io->result.status = DeadlineExceeded("client: block io past deadline");
+    Deliver(op, std::move(io->result), false);
+    return;
+  }
+  const BlockRow& b = blocks[i];
+  if (b.replicas.empty()) {
+    BlockIoNext(std::move(io), i + 1);
+    return;
+  }
+  if (io->writing) {
+    std::vector<blocks::BlockDatanode*> pipeline;
+    for (blocks::DnId d : b.replicas) {
+      pipeline.push_back(dn_registry_->dn(d));
     }
-    // Deadline check between blocks: a multi-block transfer must not
-    // keep streaming for an op nobody is waiting on anymore.
-    if (resilience::DeadlineExpired(deadline, sim_.now())) {
-      res->status = DeadlineExceeded("client: block io past deadline");
-      Deliver(op, std::move(*res), false);
-      return;
-    }
-    const BlockRow& b = blocks[i];
-    if (b.replicas.empty()) {
-      (*next)(i + 1);
-      return;
-    }
-    if (writing) {
-      std::vector<blocks::BlockDatanode*> pipeline;
-      for (blocks::DnId d : b.replicas) {
-        pipeline.push_back(dn_registry_->dn(d));
+    blocks::BlockDatanode* first = pipeline.front();
+    pipeline.erase(pipeline.begin());
+    // Stream the data to the first replica, which forwards downstream.
+    const int64_t bytes = b.num_bytes;
+    const trace::SpanId bspan = sim_.tracer().StartSpan(
+        op->span, "block.write", trace::Layer::kBlocks, trace::Cause::kWork,
+        host_, az_);
+    const trace::SpanId xfer = sim_.tracer().StartSpan(
+        bspan, "net.block_data", trace::Layer::kBlocks,
+        trace::NetCause(az_, first->az()), host_, az_, first->az());
+    network_.Send(host_, first->host(), std::max<int64_t>(bytes, 1),
+                  [this, first, id = b.block_id, bytes, pipeline, io, i,
+                   deadline, bspan, xfer] {
+                    sim_.tracer().EndSpan(xfer);
+                    first->WriteBlock(id, bytes, pipeline,
+                                      [this, io, i, bspan](Status) {
+                                        sim_.tracer().EndSpan(bspan);
+                                        BlockIoNext(io, i + 1);
+                                      },
+                                      deadline, bspan);
+                  });
+    return;
+  }
+  // AZ-closest replica (§IV-C): replicas in our AZ first.
+  blocks::DnId chosen = b.replicas.front();
+  if (config_.az_aware && az_ != kNoAz) {
+    for (blocks::DnId d : b.replicas) {
+      if (dn_registry_->az_of(d) == az_) {
+        chosen = d;
+        break;
       }
-      blocks::BlockDatanode* first = pipeline.front();
-      pipeline.erase(pipeline.begin());
-      // Stream the data to the first replica, which forwards downstream.
-      const int64_t bytes = b.num_bytes;
-      const trace::SpanId bspan = sim_.tracer().StartSpan(
-          op->span, "block.write", trace::Layer::kBlocks,
-          trace::Cause::kWork, host_, az_);
-      const trace::SpanId xfer = sim_.tracer().StartSpan(
-          bspan, "net.block_data", trace::Layer::kBlocks,
-          trace::NetCause(az_, first->az()), host_, az_, first->az());
-      network_.Send(host_, first->host(), std::max<int64_t>(bytes, 1),
-                    [this, first, id = b.block_id, bytes, pipeline, next, i,
-                     deadline, bspan, xfer] {
-                      sim_.tracer().EndSpan(xfer);
-                      first->WriteBlock(id, bytes, pipeline,
-                                        [this, next, i, bspan](Status) {
-                                          sim_.tracer().EndSpan(bspan);
-                                          (*next)(i + 1);
-                                        },
-                                        deadline, bspan);
-                    });
-    } else {
-      // AZ-closest replica (§IV-C): replicas in our AZ first.
-      blocks::DnId chosen = b.replicas.front();
-      if (config_.az_aware && az_ != kNoAz) {
-        for (blocks::DnId d : b.replicas) {
-          if (dn_registry_->az_of(d) == az_) {
-            chosen = d;
-            break;
-          }
-        }
-      }
-      blocks::BlockDatanode* dn = dn_registry_->dn(chosen);
-      const trace::SpanId bspan = sim_.tracer().StartSpan(
-          op->span, "block.read", trace::Layer::kBlocks, trace::Cause::kWork,
-          host_, az_);
-      const trace::SpanId rreq = sim_.tracer().StartSpan(
-          bspan, "net.read_req", trace::Layer::kBlocks,
-          trace::NetCause(az_, dn->az()), host_, az_, dn->az());
-      network_.Send(host_, dn->host(), 128,
-                    [this, dn, id = b.block_id, next, i, deadline, bspan,
-                     rreq] {
-                      sim_.tracer().EndSpan(rreq);
-                      dn->ReadBlock(id, host_,
-                                    [this, next, i, bspan](Expected<int64_t>) {
-                                      sim_.tracer().EndSpan(bspan);
-                                      (*next)(i + 1);
-                                    },
-                                    deadline, bspan);
-                    });
     }
-  };
-  (*next)(0);
+  }
+  blocks::BlockDatanode* dn = dn_registry_->dn(chosen);
+  const trace::SpanId bspan = sim_.tracer().StartSpan(
+      op->span, "block.read", trace::Layer::kBlocks, trace::Cause::kWork,
+      host_, az_);
+  const trace::SpanId rreq = sim_.tracer().StartSpan(
+      bspan, "net.read_req", trace::Layer::kBlocks,
+      trace::NetCause(az_, dn->az()), host_, az_, dn->az());
+  network_.Send(host_, dn->host(), 128,
+                [this, dn, id = b.block_id, io, i, deadline, bspan, rreq] {
+                  sim_.tracer().EndSpan(rreq);
+                  dn->ReadBlock(id, host_,
+                                [this, io, i, bspan](Expected<int64_t>) {
+                                  sim_.tracer().EndSpan(bspan);
+                                  BlockIoNext(io, i + 1);
+                                },
+                                deadline, bspan);
+                });
 }
 
 // ---- convenience wrappers ----

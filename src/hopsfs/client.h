@@ -143,6 +143,16 @@ class HopsFsClient {
   void RetryAfterFailure(OpPtr op, Status give_up_status);
   void Deliver(OpPtr op, FsResult result, bool is_hedge);
   void HandleLargeFileIo(OpPtr op, FsResult result);
+  // A large file's block transfer: the op's new blocks (writing) or its
+  // existing ones, one block at a time.
+  struct BlockIo {
+    OpPtr op;
+    FsResult result;
+    bool writing = false;
+  };
+  // Transfers block i, then continues with i + 1; delivers the result
+  // after the last block, or at the op's deadline.
+  void BlockIoNext(std::shared_ptr<BlockIo> io, size_t i);
   void PickNamenode(trace::SpanId span, std::function<void()> then);
   resilience::CircuitBreaker* breaker(const Namenode* nn);
   void NoteBreaker(resilience::CircuitBreaker* b,

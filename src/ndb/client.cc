@@ -126,30 +126,35 @@ void NdbApiNode::FailOp(uint64_t op_id, Code code) {
   cluster_.sim().tracer().EndSpan(op.hedge_span);
   if (TxnState* t = FindTxn(op.txn)) t->inflight -= 1;
   if (op.erase_txn) txns_.Erase(op.txn);
+  Fail(op, code);
+}
+
+void NdbApiNode::Fail(PendingOp& op, Code code) {
   if (op.read_cb) op.read_cb(code, std::nullopt);
   if (op.write_cb) op.write_cb(code);
   if (op.scan_cb) op.scan_cb(code, {});
 }
 
-void NdbApiNode::SendKeyOp(TxnId txn, KeyOpReq req, PendingOp op) {
+NdbApiNode::TxnState* NdbApiNode::AdmitOp(TxnId txn, PendingOp& op) {
   TxnState* t = FindTxn(txn);
   if (t == nullptr || t->broken || !cluster_.cluster_up() ||
       !cluster_.layout().alive(t->tc)) {
-    const Code code = t == nullptr || t->broken ? Code::kAborted
-                                                : Code::kUnavailable;
-    if (op.read_cb) op.read_cb(code, std::nullopt);
-    if (op.write_cb) op.write_cb(code);
-    if (op.scan_cb) op.scan_cb(code, {});
-    return;
+    Fail(op, t == nullptr || t->broken ? Code::kAborted
+                                       : Code::kUnavailable);
+    return nullptr;
   }
   // Fail fast before spending a network round trip on doomed work.
   if (resilience::DeadlineExpired(t->deadline, cluster_.sim().now())) {
     metrics::Bump(deadline_exceeded_);
-    if (op.read_cb) op.read_cb(Code::kDeadlineExceeded, std::nullopt);
-    if (op.write_cb) op.write_cb(Code::kDeadlineExceeded);
-    if (op.scan_cb) op.scan_cb(Code::kDeadlineExceeded, {});
-    return;
+    Fail(op, Code::kDeadlineExceeded);
+    return nullptr;
   }
+  return t;
+}
+
+void NdbApiNode::SendKeyOp(TxnId txn, KeyOpReq req, PendingOp op) {
+  TxnState* t = AdmitOp(txn, op);
+  if (t == nullptr) return;
   req.txn = txn;
   req.api = id_;
   req.deadline = t->deadline;
@@ -226,79 +231,56 @@ void NdbApiNode::Read(TxnId txn, TableId table, Key key, LockMode mode,
   SendKeyOp(txn, std::move(req), std::move(op));
 }
 
-void NdbApiNode::Insert(TxnId txn, TableId table, Key key, std::string value,
-                        WriteCb cb) {
+void NdbApiNode::SendWrite(TxnId txn, TableId table, Key key,
+                           WriteType type, bool insert_only, bool must_exist,
+                           std::string value, WriteCb cb) {
   KeyOpReq req;
   req.table = table;
   req.key = std::move(key);
   req.is_write = true;
-  req.write_type = WriteType::kPut;
-  req.insert_only = true;
+  req.write_type = type;
+  req.insert_only = insert_only;
+  req.must_exist = must_exist;
   req.value = std::move(value);
   PendingOp op;
   op.write_cb = std::move(cb);
   SendKeyOp(txn, std::move(req), std::move(op));
+}
+
+void NdbApiNode::Insert(TxnId txn, TableId table, Key key, std::string value,
+                        WriteCb cb) {
+  SendWrite(txn, table, std::move(key), WriteType::kPut, /*insert_only=*/true,
+            /*must_exist=*/false, std::move(value), std::move(cb));
 }
 
 void NdbApiNode::Update(TxnId txn, TableId table, Key key, std::string value,
                         WriteCb cb) {
-  KeyOpReq req;
-  req.table = table;
-  req.key = std::move(key);
-  req.is_write = true;
-  req.write_type = WriteType::kPut;
-  req.must_exist = true;
-  req.value = std::move(value);
-  PendingOp op;
-  op.write_cb = std::move(cb);
-  SendKeyOp(txn, std::move(req), std::move(op));
+  SendWrite(txn, table, std::move(key), WriteType::kPut, /*insert_only=*/false,
+            /*must_exist=*/true, std::move(value), std::move(cb));
 }
 
 void NdbApiNode::Write(TxnId txn, TableId table, Key key, std::string value,
                        WriteCb cb) {
-  KeyOpReq req;
-  req.table = table;
-  req.key = std::move(key);
-  req.is_write = true;
-  req.write_type = WriteType::kPut;
-  req.value = std::move(value);
-  PendingOp op;
-  op.write_cb = std::move(cb);
-  SendKeyOp(txn, std::move(req), std::move(op));
+  SendWrite(txn, table, std::move(key), WriteType::kPut, /*insert_only=*/false,
+            /*must_exist=*/false, std::move(value), std::move(cb));
 }
 
 void NdbApiNode::Delete(TxnId txn, TableId table, Key key, WriteCb cb) {
-  KeyOpReq req;
-  req.table = table;
-  req.key = std::move(key);
-  req.is_write = true;
-  req.write_type = WriteType::kDelete;
-  req.must_exist = true;
-  PendingOp op;
-  op.write_cb = std::move(cb);
-  SendKeyOp(txn, std::move(req), std::move(op));
+  SendWrite(txn, table, std::move(key), WriteType::kDelete,
+            /*insert_only=*/false, /*must_exist=*/true, {}, std::move(cb));
 }
 
 void NdbApiNode::ScanPrefix(TxnId txn, TableId table, Key prefix, ScanCb cb) {
-  TxnState* t = FindTxn(txn);
-  if (t == nullptr || t->broken || !cluster_.cluster_up() ||
-      !cluster_.layout().alive(t->tc)) {
-    cb(t == nullptr || t->broken ? Code::kAborted : Code::kUnavailable, {});
-    return;
-  }
-  if (resilience::DeadlineExpired(t->deadline, cluster_.sim().now())) {
-    metrics::Bump(deadline_exceeded_);
-    cb(Code::kDeadlineExceeded, {});
-    return;
-  }
+  PendingOp op;
+  op.scan_cb = std::move(cb);
+  TxnState* t = AdmitOp(txn, op);
+  if (t == nullptr) return;
   ScanReq req;
   req.txn = txn;
   req.api = id_;
   req.table = table;
   req.prefix = std::move(prefix);
   req.deadline = t->deadline;
-  PendingOp op;
-  op.scan_cb = std::move(cb);
   op.span = cluster_.sim().tracer().StartSpan(
       t->span, "ndb.scan", trace::Layer::kNdb, trace::Cause::kWork, host_,
       az_);

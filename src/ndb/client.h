@@ -125,7 +125,15 @@ class NdbApiNode {
   uint64_t RegisterOp(TxnId txn, PendingOp op);
   void OnOpTimeout(uint64_t op_id);
   void FailOp(uint64_t op_id, Code code);
+  // Answers the op's callback with `code` (no reply will come).
+  static void Fail(PendingOp& op, Code code);
+  // The op's transaction if it may be sent now; else fails the op.
+  TxnState* AdmitOp(TxnId txn, PendingOp& op);
   void SendKeyOp(TxnId txn, KeyOpReq req, PendingOp op);
+  // Insert / Update / Write / Delete: one write op with its NACK rules.
+  void SendWrite(TxnId txn, TableId table, Key key, WriteType type,
+                 bool insert_only, bool must_exist, std::string value,
+                 WriteCb cb);
 
   void MaybeHedgeRead(TxnId txn, uint64_t op_id, const KeyOpReq& req);
   void HedgeReadNow(TxnId txn, uint64_t op_id, KeyOpReq req);

@@ -99,11 +99,9 @@ void NdbCluster::StartProtocols() {
     }));
     // Local checkpoints: fold the durable log prefix into the base image
     // and truncate the journal (bounds its memory; sets replay cost).
-    if (nc.enable_durability) {
-      timers_.push_back(sim_.Every(nc.lcp_interval, [this, i] {
-        datanodes_[i]->StartLocalCheckpoint(DurableGcpEpoch());
-      }));
-    }
+    timers_.push_back(sim_.Every(nc.lcp_interval, [this, i] {
+      datanodes_[i]->StartLocalCheckpoint(DurableGcpEpoch());
+    }));
   }
   // Global checkpoint: advance the epoch on every node, then close older
   // epochs once their commits have finished (transaction-atomic epochs:
@@ -455,25 +453,30 @@ void NdbCluster::RecoveryResync(NodeId n, size_t slot, uint64_t gen,
   });
 }
 
+bool NdbCluster::ResyncStillRunning(NodeId n, size_t slot, uint64_t gen,
+                                    NodeId source,
+                                    const std::function<void()>& done) {
+  if (!RecoveryStillValid(n, gen)) {
+    AbandonRecovery(n, slot, "node lost during resync", done);
+    return false;
+  }
+  if (layout_.alive(source) && datanodes_[source]->alive()) return true;
+  // Source peer died mid-stream: retry the resync phase with a fresh
+  // source. Partitions already fenced stay valid — live writes kept
+  // flowing to them through the catch-up chain — so their deltas
+  // re-check as (near) empty on the retry pass.
+  RLOG_WARN(kLog, "restart of node %d: source %d died mid-copy, "
+                  "retrying with another peer", n, source);
+  if (RecoveryStats* rec = RecoverySlot(slot)) rec->attempts += 1;
+  RecoveryResync(n, slot, gen, done);
+  return false;
+}
+
 void NdbCluster::StreamNextPartition(NodeId n, size_t slot, uint64_t gen,
                                      NodeId source, PartitionId next,
                                      std::function<void()> done) {
   PROF_ZONE("ndb.recovery.stream_partition");
-  if (!RecoveryStillValid(n, gen)) {
-    AbandonRecovery(n, slot, "node lost during resync", done);
-    return;
-  }
-  if (!layout_.alive(source) || !datanodes_[source]->alive()) {
-    // Source peer died mid-stream: retry the resync phase with a fresh
-    // source. Partitions already fenced stay valid — live writes kept
-    // flowing to them through the catch-up chain — so their deltas
-    // re-check as (near) empty on the retry pass.
-    RLOG_WARN(kLog, "restart of node %d: source %d died mid-copy, "
-                    "retrying with another peer", n, source);
-    if (RecoveryStats* rec = RecoverySlot(slot)) rec->attempts += 1;
-    RecoveryResync(n, slot, gen, done);
-    return;
-  }
+  if (!ResyncStillRunning(n, slot, gen, source, done)) return;
   // Skip partitions this node holds no replica of — unless some table is
   // fully replicated, in which case its rows hash to any partition and
   // every partition holds rows of this node.
@@ -485,14 +488,8 @@ void NdbCluster::StreamNextPartition(NodeId n, size_t slot, uint64_t gen,
     }
   }
   while (next < layout_.num_partitions() && !fully_replicated) {
-    bool mine = false;
-    for (NodeId r : layout_.ReplicaChain(next)) {
-      if (r == n) {
-        mine = true;
-        break;
-      }
-    }
-    if (mine) break;
+    const std::vector<NodeId>& chain = layout_.ReplicaChain(next);
+    if (std::find(chain.begin(), chain.end(), n) != chain.end()) break;
     ++next;
   }
   if (next >= layout_.num_partitions()) {
@@ -506,61 +503,48 @@ void NdbCluster::StreamNextPartition(NodeId n, size_t slot, uint64_t gen,
       static_cast<Nanos>(static_cast<double>(estimate.bytes) /
                          network_.config().nic_bytes_per_sec * 1e9);
   sim_.After(xfer_time, [this, n, slot, gen, source, part, done] {
-    // Fence: wait until no in-flight transaction touches this partition,
-    // then adopt its delta and open it for reads atomically.
-    auto wait = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak = wait;
-    *wait = [this, n, slot, gen, source, part, weak, done] {
-      auto self = weak.lock();
-      if (!self) return;
-      if (!RecoveryStillValid(n, gen)) {
-        AbandonRecovery(n, slot, "node lost during resync", done);
-        return;
-      }
-      if (!layout_.alive(source) || !datanodes_[source]->alive()) {
-        RLOG_WARN(kLog, "restart of node %d: source %d died mid-copy, "
-                        "retrying with another peer", n, source);
-        if (RecoveryStats* rec = RecoverySlot(slot)) rec->attempts += 1;
-        RecoveryResync(n, slot, gen, done);
-        return;
-      }
-      for (NodeId peer = 0; peer < num_datanodes(); ++peer) {
-        if (layout_.alive(peer) &&
-            datanodes_[peer]->HasTxnTouchingPartition(part)) {
-          sim_.After(10 * kMillisecond, [self] { (*self)(); });
-          return;
-        }
-      }
-      // Quiesced: adopt the delta and serve the partition immediately.
-      // From here on, write chains include this node as a catch-up
-      // backup, so the partition stays current while the rest stream.
-      const ResyncDelta applied =
-          ComputeResync(n, source, /*apply=*/true, part);
-      if (RecoveryStats* rec = RecoverySlot(slot)) {
-        rec->resync_rows += applied.rows;
-        rec->resync_bytes += applied.bytes;
-        rec->resync_deletes += applied.deletes;
-        rec->streamed_parts += 1;
-      }
-      layout_.SetCatchupReady(n, part);
-      datanodes_[n]->SetCatchupAccepting(true);
-      StreamNextPartition(n, slot, gen, source, part + 1, done);
-    };
-    (*wait)();
+    FencePartition(n, slot, gen, source, part, done);
   });
+}
+
+void NdbCluster::FencePartition(NodeId n, size_t slot, uint64_t gen,
+                                NodeId source, PartitionId part,
+                                std::function<void()> done) {
+  if (!ResyncStillRunning(n, slot, gen, source, done)) return;
+  for (NodeId peer = 0; peer < num_datanodes(); ++peer) {
+    if (layout_.alive(peer) &&
+        datanodes_[peer]->HasTxnTouchingPartition(part)) {
+      sim_.After(10 * kMillisecond,
+                 [this, n, slot, gen, source, part,
+                  done = std::move(done)]() mutable {
+                   FencePartition(n, slot, gen, source, part,
+                                  std::move(done));
+                 });
+      return;
+    }
+  }
+  // Quiesced: adopt the delta and serve the partition immediately.
+  // From here on, write chains include this node as a catch-up backup,
+  // so the partition stays current while the rest stream.
+  const ResyncDelta applied = ComputeResync(n, source, /*apply=*/true, part);
+  if (RecoveryStats* rec = RecoverySlot(slot)) {
+    rec->resync_rows += applied.rows;
+    rec->resync_bytes += applied.bytes;
+    rec->resync_deletes += applied.deletes;
+    rec->streamed_parts += 1;
+  }
+  layout_.SetCatchupReady(n, part);
+  datanodes_[n]->SetCatchupAccepting(true);
+  StreamNextPartition(n, slot, gen, source, part + 1, done);
 }
 
 // Phase 3 — rebuild the journal from the source's (epoch-filtered
 // adoption), write the rejoin checkpoint (image to the data disk, log
-// tail to the log disk) and rejoin.
+// tail to the log disk) and rejoin. StreamNextPartition calls it right
+// after its ResyncStillRunning guard: node and source are both live.
 void NdbCluster::FinishRecovery(NodeId n, size_t slot, uint64_t gen,
                                 NodeId source, std::function<void()> done) {
   NdbDatanode& node = *datanodes_[n];
-  if (!layout_.alive(source) || !datanodes_[source]->alive()) {
-    if (RecoveryStats* rec = RecoverySlot(slot)) rec->attempts += 1;
-    RecoveryResync(n, slot, gen, done);
-    return;
-  }
   if (RecoveryStats* rec = RecoverySlot(slot)) {
     const Nanos resync_start =
         rec->replay_done >= 0 ? rec->replay_done : rec->started;
@@ -706,8 +690,6 @@ void NdbCluster::BootstrapPut(TableId table, const Key& key,
 }
 
 NdbCluster::ClusterRecoveryReport NdbCluster::RecoverFromCheckpoint() {
-  assert(config_.node.enable_durability &&
-         "recovery requires enable_durability");
   ClusterRecoveryReport report;
   // The recovery epoch: the newest epoch whose redo log is flushed on
   // EVERY node — except that a completed local checkpoint is itself

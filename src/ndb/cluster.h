@@ -188,7 +188,6 @@ class NdbCluster {
   // replays checkpoint + redo log up to the last globally durable
   // epoch. Transactions committed after it are LOST — NDB's documented
   // durability boundary — and reported instead of silently dropped.
-  // Requires enable_durability.
   struct ClusterRecoveryReport {
     int64_t epoch = 0;              // the recovery cut
     int64_t dropped_commits = 0;    // distinct post-cut transactions
@@ -235,11 +234,20 @@ class NdbCluster {
                        const std::function<void()>& done);
   void RecoveryResync(NodeId n, size_t slot, uint64_t gen,
                       std::function<void()> done);
+  // Guard of every streaming step: false, with the recovery abandoned or
+  // restarted from another peer, if the node or the source was lost.
+  bool ResyncStillRunning(NodeId n, size_t slot, uint64_t gen, NodeId source,
+                          const std::function<void()>& done);
   // Streaming resync: copies one partition's delta, fences it quiescent,
   // marks it catch-up-ready (the node serves reads for it immediately),
   // then recurses to the next partition.
   void StreamNextPartition(NodeId n, size_t slot, uint64_t gen, NodeId source,
                            PartitionId next, std::function<void()> done);
+  // The copy of `part` arrived: retry every 10 ms until no coordinator
+  // has a transaction touching the partition, then adopt its delta and
+  // open it for catch-up traffic.
+  void FencePartition(NodeId n, size_t slot, uint64_t gen, NodeId source,
+                      PartitionId part, std::function<void()> done);
   void FinishRecovery(NodeId n, size_t slot, uint64_t gen, NodeId source,
                       std::function<void()> done);
   // Rows the restarted node must copy from (or drop relative to) the

@@ -30,7 +30,6 @@ NdbDatanode::NdbDatanode(NdbCluster& cluster, NodeId id, HostId host)
       store_(cluster.catalog().num_tables()),
       locks_(cluster.sim(), cluster.node_config().lock_wait_timeout),
       journal_(cluster.catalog().num_tables(), JournalConfig(cluster)) {
-  cluster_has_durability_ = cluster.node_config().enable_durability;
   store_.set_debug_owner(id_);
   auto& sim = cluster_.sim();
   const auto& nc = cluster_.node_config();
@@ -103,7 +102,6 @@ void NdbDatanode::Revive() {
   alive_ = true;
   catchup_accepting_ = false;
   recovery_phase_ = RecoveryPhase::kServing;
-  redo_pending_bytes_ = 0;
   RLOG_INFO(kLog, "datanode %d rejoined", id_);
 }
 
@@ -113,33 +111,24 @@ void NdbDatanode::BeginRecovery() {
   catchup_reads_served_ = 0;  // per-recovery counter
 }
 
-bool NdbDatanode::HasTxnTouchingGroup(int group) const {
-  const int groups = cluster_.layout().num_groups();
-  for (const auto& [txn, t] : txns_) {
-    for (const auto& w : t.writes) {
-      if (w.part % groups == group) return true;
-    }
-    for (PartitionId p : t.inflight_parts) {
-      if (p % groups == group) return true;
-    }
-    for (const auto& rl : t.read_locks) {
-      if (rl.part % groups == group) return true;
-    }
+template <typename F>
+void NdbDatanode::ForEachRow(const TcTxn& t, F&& f) {
+  for (const auto& w : t.writes) {
+    for (NodeId n : w.chain) f(w.table, w.key, w.part, n, /*write=*/true);
   }
-  return false;
+  for (const auto& rl : t.read_locks) {
+    f(rl.table, rl.key, rl.part, rl.node, /*write=*/false);
+  }
 }
 
 bool NdbDatanode::HasTxnTouchingPartition(PartitionId part) const {
+  bool touching = false;
   for (const auto& [txn, t] : txns_) {
-    for (const auto& w : t.writes) {
-      if (w.part == part) return true;
-    }
-    for (PartitionId p : t.inflight_parts) {
-      if (p == part) return true;
-    }
-    for (const auto& rl : t.read_locks) {
-      if (rl.part == part) return true;
-    }
+    for (PartitionId p : t.inflight_parts) touching |= p == part;
+    ForEachRow(t, [&](TableId, const Key&, PartitionId p, NodeId, bool) {
+      touching |= p == part;
+    });
+    if (touching) return true;
   }
   return false;
 }
@@ -275,18 +264,10 @@ void NdbDatanode::RunIo(Nanos cost, SmallFn fn) {
   io_->Submit(cost, std::move(fn));
 }
 
-void NdbDatanode::AccountRedo() {
-  // With durability on, the journal accounts real record bytes and the
-  // group-commit flush charges them; this legacy path only models the
-  // disk traffic for durability-off clusters.
-  if (cluster_has_durability_) return;
-  redo_pending_bytes_ += cluster_.cost().redo_bytes_per_commit;
-}
-
 void NdbDatanode::LogRedo(
     int64_t epoch, PartitionId part, TxnId txn, TableId table, const Key& key,
     const std::optional<RowStore::AppliedWrite>& applied) {
-  if (!cluster_has_durability_ || !applied) return;
+  if (!applied) return;
   // The epoch was assigned once, by the TC, at the commit decision —
   // every replica of the transaction logs the identical epoch, so a GCP
   // tick between two replicas' applies can no longer split a commit
@@ -298,7 +279,6 @@ void NdbDatanode::LogRedo(
 }
 
 void NdbDatanode::UpdateRedoStallAccounting() {
-  if (!cluster_has_durability_) return;
   const bool over = journal_.backlog_bytes() >
                     cluster_.node_config().redo_stall_backlog_bytes;
   if (over == redo_stalled_) return;
@@ -324,36 +304,27 @@ void NdbDatanode::FlushRedo() {
   // or their backlog grows until backpressure sheds every write routed
   // through them — permanently, since nothing else drains the journal.
   if (!alive_ && !catchup_accepting_) return;
-  if (cluster_has_durability_) {
-    // Group commit: one log-disk write covers every record appended
-    // since the previous flush (plus the fsync overhead). The batch
-    // counts as durable only when the write lands; a crash in between
-    // loses it. Queueing on the dedicated log disk means checkpoint and
-    // recovery traffic on the data disk cannot delay commits — only a
-    // genuinely slow log device can, and that surfaces as backpressure.
-    const RedoJournal::FlushBatch batch = journal_.PrepareFlush();
-    if (batch.upto_seqno == 0) return;
-    const uint64_t gen = journal_.generation();
-    RunIo(cluster_.cost().io_redo_per_commit, [this, batch, gen] {
-      if (!alive_) return;
-      log_disk_->Write(batch.disk_bytes, [this, batch, gen] {
-        if (journal_.generation() != gen) return;
-        journal_.MarkFlushed(batch);
-        UpdateRedoStallAccounting();
-      });
-    });
-    return;
-  }
-  if (redo_pending_bytes_ == 0) return;
-  const int64_t bytes = std::exchange(redo_pending_bytes_, 0);
-  RunIo(cluster_.cost().io_redo_per_commit, [this, bytes] {
+  // Group commit: one log-disk write covers every record appended since
+  // the previous flush (plus the fsync overhead). The batch counts as
+  // durable only when the write lands; a crash in between loses it.
+  // Queueing on the dedicated log disk means checkpoint and recovery
+  // traffic on the data disk cannot delay commits — only a genuinely
+  // slow log device can, and that surfaces as backpressure.
+  const RedoJournal::FlushBatch batch = journal_.PrepareFlush();
+  if (batch.upto_seqno == 0) return;
+  const uint64_t gen = journal_.generation();
+  RunIo(cluster_.cost().io_redo_per_commit, [this, batch, gen] {
     if (!alive_) return;
-    log_disk_->Write(bytes, nullptr);
+    log_disk_->Write(batch.disk_bytes, [this, batch, gen] {
+      if (journal_.generation() != gen) return;
+      journal_.MarkFlushed(batch);
+      UpdateRedoStallAccounting();
+    });
   });
 }
 
 void NdbDatanode::StartLocalCheckpoint(int64_t cluster_durable_epoch) {
-  if (!alive_ || !cluster_has_durability_ || lcp_inflight_) return;
+  if (!alive_ || lcp_inflight_) return;
   const int64_t cut = journal_.CheckpointCutSeqno(cluster_durable_epoch);
   // Nothing new to fold: the cut has not advanced past the base in either
   // seqno or epoch terms. (The epoch check matters with deferred epoch
@@ -368,41 +339,33 @@ void NdbDatanode::StartLocalCheckpoint(int64_t cluster_durable_epoch) {
   // only that partition's records — checkpoint I/O is spread across the
   // LCP instead of a single monolithic write, and a crash mid-round
   // still leaves every completed fragment's segments truncated.
+  CheckpointFragment(cut, journal_.generation(), 0);
+}
+
+void NdbDatanode::CheckpointFragment(int64_t cut, uint64_t gen,
+                                     PartitionId part) {
+  if (!alive_ || journal_.generation() != gen) {
+    lcp_inflight_ = false;
+    return;
+  }
   const int num_parts = cluster_.layout().num_partitions();
-  const uint64_t gen = journal_.generation();
-  auto step = std::make_shared<std::function<void(PartitionId)>>();
-  // Capture weakly inside the function itself — a strong self-capture
-  // would cycle and leak one continuation per LCP round. The async hops
-  // below each hold a strong ref, so the chain stays alive exactly as
-  // long as a fragment write is outstanding.
-  std::weak_ptr<std::function<void(PartitionId)>> weak_step = step;
-  *step = [this, cut, num_parts, gen, weak_step](PartitionId part) {
-    auto step = weak_step.lock();
-    if (!step || !alive_ || journal_.generation() != gen) {
-      lcp_inflight_ = false;
-      return;
-    }
-    if (part >= num_parts) {
-      journal_.FinishCheckpointRound(cut, cluster_.sim().now());
-      lcp_inflight_ = false;
-      return;
-    }
-    const int64_t bytes =
-        journal_.FragmentCheckpointBytes(part, num_parts, cut);
-    RunIo(cluster_.cost().io_redo_per_commit, [this, part, bytes, cut, gen,
-                                               step] {
-      if (!alive_) return;
-      disk_->Write(bytes, [this, part, cut, gen, step] {
-        if (!alive_ || journal_.generation() != gen) {
-          lcp_inflight_ = false;
-          return;
-        }
+  if (part >= num_parts) {
+    journal_.FinishCheckpointRound(cut, cluster_.sim().now());
+    lcp_inflight_ = false;
+    return;
+  }
+  const int64_t bytes = journal_.FragmentCheckpointBytes(part, num_parts, cut);
+  RunIo(cluster_.cost().io_redo_per_commit, [this, part, bytes, cut, gen] {
+    if (!alive_) return;
+    disk_->Write(bytes, [this, part, cut, gen] {
+      // A crash or image install (generation bump) meanwhile ends the
+      // round: the next step sees it and clears lcp_inflight_.
+      if (alive_ && journal_.generation() == gen) {
         journal_.CompleteFragmentCheckpoint(part, cut);
-        (*step)(part + 1);
-      });
+      }
+      CheckpointFragment(cut, gen, part + 1);
     });
-  };
-  (*step)(0);
+  });
 }
 
 NdbDatanode::ReplayResult NdbDatanode::ReplayFromJournal(int64_t max_epoch) {
@@ -563,16 +526,14 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
     // Deadline propagation: refuse doomed work before routing it to an
     // LDM (the API node already gave up at the same instant).
     if (resilience::DeadlineExpired(req.deadline, cluster_.sim().now())) {
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kDeadlineExceeded, {}, {}});
+      ReplyToApi(req.api, req.txn, req.op_id, Code::kDeadlineExceeded);
       return;
     }
     const PartitionId part = layout.PartitionOf(req.table, req.key);
     TcTxn& t = Txn(req.txn, req.api);
     Touch(t);
     if (t.aborted) {
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kAborted, {}, {}});
+      ReplyToApi(req.api, req.txn, req.op_id, Code::kAborted);
       return;
     }
 
@@ -580,15 +541,14 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
       int replica_idx = -1;
       const NodeId serving = RouteCommittedRead(req.table, part, &replica_idx);
       if (serving == kNoNode) {
-        SendToApi(req.api, cost.msg_small,
-                  OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}});
+        ReplyToApi(req.api, req.txn, req.op_id, Code::kUnavailable);
         return;
       }
       cluster_.RecordReplicaRead(part, replica_idx);
       const trace::SpanId s = req.span;
       SendToNode(serving, cost.msg_read_req,
-                 [req = std::move(req), replica_idx](NdbDatanode& n) mutable {
-                   n.LdmCommittedRead(std::move(req), replica_idx);
+                 [req = std::move(req)](NdbDatanode& n) mutable {
+                   n.LdmCommittedRead(std::move(req));
                  },
                  s);
       return;
@@ -598,8 +558,7 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
       // Shared/exclusive read: always the primary replica (§II-B2).
       const NodeId primary = layout.PrimaryOf(part);
       if (primary == kNoNode) {
-        SendToApi(req.api, cost.msg_small,
-                  OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}});
+        ReplyToApi(req.api, req.txn, req.op_id, Code::kUnavailable);
         return;
       }
       cluster_.RecordReplicaRead(part, 0);
@@ -626,8 +585,7 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
       // Deliberate bug (see set_test_lose_acked_writes): swallow the write
       // and ack success. The transaction later commits "cleanly" with no
       // staged rows, so the client believes the write is durable.
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kOk, {}, {}});
+      ReplyToApi(req.api, req.txn, req.op_id, Code::kOk);
       return;
     }
 
@@ -647,8 +605,7 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
       }
     }
     if (chain.empty()) {
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}});
+      ReplyToApi(req.api, req.txn, req.op_id, Code::kUnavailable);
       return;
     }
     const TableDef& td = cluster_.catalog().table(req.table);
@@ -656,21 +613,13 @@ void NdbDatanode::TcKeyOp(KeyOpReq req) {
         cluster_.flags().read_backup_commit_ack) {
       t.delay_ack = true;
     }
-    PrepareReq prep;
-    prep.txn = req.txn;
-    prep.tc = id_;
-    prep.op_id = req.op_id;
-    prep.api = req.api;
-    prep.table = req.table;
-    prep.key = std::move(req.key);
-    prep.part = part;
-    prep.type = req.write_type;
-    prep.insert_only = req.insert_only;
-    prep.must_exist = req.must_exist;
-    prep.value = std::move(req.value);
-    prep.chain = std::move(chain);
-    prep.pos = 0;
-    prep.span = req.span;
+    PrepareReq prep{.txn = req.txn, .tc = id_, .op_id = req.op_id,
+                    .api = req.api, .table = req.table,
+                    .key = std::move(req.key), .part = part,
+                    .type = req.write_type, .insert_only = req.insert_only,
+                    .must_exist = req.must_exist,
+                    .value = std::move(req.value), .chain = std::move(chain),
+                    .pos = 0, .span = req.span};
     t.inflight_parts.push_back(part);
     const int64_t bytes =
         cost.msg_write_base + static_cast<int64_t>(prep.value.size());
@@ -691,10 +640,8 @@ void NdbDatanode::TcScan(ScanReq req) {
   const Booking b = RunTc(cluster_.cost().tc_route_op,
                           [this, req = std::move(req)]() mutable {
     if (!alive_) return;
-    const auto& cost = cluster_.cost();
     if (resilience::DeadlineExpired(req.deadline, cluster_.sim().now())) {
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kDeadlineExceeded, {}, {}});
+      ReplyToApi(req.api, req.txn, req.op_id, Code::kDeadlineExceeded);
       return;
     }
     const PartitionId part =
@@ -704,16 +651,14 @@ void NdbDatanode::TcScan(ScanReq req) {
     int replica_idx = -1;
     const NodeId serving = RouteCommittedRead(req.table, part, &replica_idx);
     if (serving == kNoNode) {
-      SendToApi(req.api, cost.msg_small,
-                OpReply{req.txn, req.op_id, Code::kUnavailable, {}, {}});
+      ReplyToApi(req.api, req.txn, req.op_id, Code::kUnavailable);
       return;
     }
     cluster_.RecordReplicaRead(part, replica_idx);
     const trace::SpanId s = req.span;
-    SendToNode(serving, cost.msg_scan_req,
-               [req = std::move(req), part,
-                replica_idx](NdbDatanode& n) mutable {
-                 n.LdmScanExec(std::move(req), part, replica_idx);
+    SendToNode(serving, cluster_.cost().msg_scan_req,
+               [req = std::move(req), part](NdbDatanode& n) mutable {
+                 n.LdmScanExec(std::move(req), part);
                },
                s);
   });
@@ -729,31 +674,22 @@ void NdbDatanode::TcPrepared(TxnId txn, uint64_t op_id, Code code,
        chain = std::move(chain), span]() mutable {
         if (!alive_) return;
         auto it = txns_.find(txn);
-        const auto& cost = cluster_.cost();
         if (it == txns_.end() || it->second.aborted) {
           // Txn gone (aborted/timed out): roll the prepared row back.
-          for (NodeId n : chain) {
-            SendToNode(n, cost.msg_small,
-                       [txn, table, key, part](NdbDatanode& d) {
-                         d.LdmAbortRow(txn, table, key, part);
-                       });
-          }
+          for (NodeId n : chain) AbortRowAt(n, txn, table, key, part);
           return;
         }
         TcTxn& t = it->second;
         Touch(t);
-        if (code != Code::kOk) {
+        if (code == Code::kOk) {
+          t.writes.push_back(
+              TcTxn::WriteRow{table, std::move(key), part, std::move(chain)});
+        } else {
           AbortTxnInternal(txn, t, /*notify_api=*/false, code);
-          // The failed op itself is answered with the specific code.
-          SendToApi(t.api, cost.msg_small, OpReply{txn, op_id, code, {}, {}},
-                    span);
-          txns_.erase(txn);
-          return;
         }
-        t.writes.push_back(
-            TcTxn::WriteRow{table, std::move(key), part, std::move(chain)});
-        SendToApi(t.api, cost.msg_small,
-                  OpReply{txn, op_id, Code::kOk, {}, {}}, span);
+        // A failed op itself is answered with its specific code.
+        ReplyToApi(t.api, txn, op_id, code, span);
+        if (code != Code::kOk) txns_.erase(txn);
       });
   TraceCpu(span, "tc.prepared", b);
 }
@@ -767,17 +703,13 @@ void NdbDatanode::TcLockedReadResult(TxnId txn, uint64_t op_id, Code code,
       [this, txn, op_id, code, value = std::move(value), table,
        key = std::move(key), part, span]() mutable {
           if (!alive_) return;
-          const auto& cost = cluster_.cost();
           auto it = txns_.find(txn);
           if (it == txns_.end() || it->second.aborted) {
             if (code == Code::kOk) {
               // Grant raced with an abort: release the stray lock.
               const NodeId primary = cluster_.layout().PrimaryOf(part);
               if (primary != kNoNode) {
-                SendToNode(primary, cost.msg_small,
-                           [txn, table, key, part](NdbDatanode& d) {
-                             d.LdmAbortRow(txn, table, key, part);
-                           });
+                AbortRowAt(primary, txn, table, key, part);
               }
             }
             return;
@@ -786,8 +718,7 @@ void NdbDatanode::TcLockedReadResult(TxnId txn, uint64_t op_id, Code code,
           Touch(t);
           if (code == Code::kTimedOut) {
             AbortTxnInternal(txn, t, /*notify_api=*/false, code);
-            SendToApi(t.api, cost.msg_small,
-                      OpReply{txn, op_id, code, {}, {}}, span);
+            ReplyToApi(t.api, txn, op_id, code, span);
             txns_.erase(txn);
             return;
           }
@@ -796,7 +727,7 @@ void NdbDatanode::TcLockedReadResult(TxnId txn, uint64_t op_id, Code code,
                 table, key, part, cluster_.layout().PrimaryOf(part)});
           }
           const int64_t bytes =
-              cost.msg_small +
+              cluster_.cost().msg_small +
               (value ? static_cast<int64_t>(value->size()) : 0);
           SendToApi(t.api, bytes,
                     OpReply{txn, op_id, code, std::move(value), {}}, span);
@@ -814,15 +745,13 @@ void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
     auto it = txns_.find(txn);
     if (it == txns_.end()) {
       // Nothing known (e.g. freshly aborted): report failure.
-      SendToApi(api, cost.msg_small,
-                OpReply{txn, op_id, Code::kAborted, {}, {}}, span);
+      ReplyToApi(api, txn, op_id, Code::kAborted, span);
       return;
     }
     TcTxn& t = it->second;
     Touch(t);
     if (t.aborted) {
-      SendToApi(api, cost.msg_small,
-                OpReply{txn, op_id, Code::kAborted, {}, {}}, span);
+      ReplyToApi(api, txn, op_id, Code::kAborted, span);
       txns_.erase(txn);
       return;
     }
@@ -858,8 +787,7 @@ void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
     t.read_locks.clear();
 
     if (t.writes.empty()) {
-      SendToApi(t.api, cost.msg_small,
-                OpReply{txn, op_id, Code::kOk, {}, {}}, span);
+      ReplyToApi(t.api, txn, op_id, Code::kOk, span);
       txns_.erase(txn);
       return;
     }
@@ -869,22 +797,7 @@ void NdbDatanode::TcCommit(TxnId txn, uint64_t op_id, ApiNodeId api,
     t.pending_commits = static_cast<int>(t.writes.size());
     for (const auto& w : t.writes) {
       RunTc(cost.tc_commit_row, [] {});
-      CommitChainReq creq;
-      creq.txn = txn;
-      creq.tc = id_;
-      creq.table = w.table;
-      creq.key = w.key;
-      creq.part = w.part;
-      creq.epoch = t.commit_epoch;
-      creq.chain = w.chain;
-      creq.pos = static_cast<int>(w.chain.size()) - 1;
-      creq.span = span;
-      const NodeId last = w.chain.back();
-      SendToNode(last, cost.msg_small,
-                 [creq = std::move(creq)](NdbDatanode& n) mutable {
-                   n.LdmCommitChain(std::move(creq));
-                 },
-                 span);
+      SendCommitChain(txn, t, w, w.chain);
     }
   });
   TraceCpu(span, "tc.commit", b);
@@ -908,26 +821,12 @@ void NdbDatanode::TcCommitted(TxnId txn) {
 
 void NdbDatanode::StartCompletePhase(TxnId txn, TcTxn& t) {
   PROF_ZONE("ndb.tc.complete_phase");
-  const auto& cost = cluster_.cost();
   t.pending_completes = 0;
-  for (const auto& w : t.writes) t.pending_completes += static_cast<int>(w.chain.size());
   for (const auto& w : t.writes) {
-    RunTc(cost.tc_complete_row, [] {});
+    RunTc(cluster_.cost().tc_complete_row, [] {});
     for (size_t i = 0; i < w.chain.size(); ++i) {
-      CompleteReq creq;
-      creq.txn = txn;
-      creq.tc = id_;
-      creq.table = w.table;
-      creq.key = w.key;
-      creq.part = w.part;
-      creq.epoch = t.commit_epoch;
-      creq.is_primary = i == 0;
-      creq.span = t.commit_span;
-      SendToNode(w.chain[i], cost.msg_small,
-                 [creq = std::move(creq)](NdbDatanode& n) mutable {
-                   n.LdmComplete(std::move(creq));
-                 },
-                 t.commit_span);
+      ++t.pending_completes;
+      SendComplete(txn, t, w, i);
     }
   }
   if (t.pending_completes == 0 && t.delay_ack) {
@@ -950,8 +849,7 @@ void NdbDatanode::TcCompleted(TxnId txn) {
 }
 
 void NdbDatanode::FinishCommit(TxnId txn, TcTxn& t) {
-  SendToApi(t.api, cluster_.cost().msg_small,
-            OpReply{txn, t.commit_op_id, Code::kOk, {}, {}}, t.commit_span);
+  ReplyToApi(t.api, txn, t.commit_op_id, Code::kOk, t.commit_span);
   t.commit_op_id = 0;
   t.commit_span = 0;
 }
@@ -968,44 +866,23 @@ void NdbDatanode::TcAbort(TxnId txn) {
 
 void NdbDatanode::AbortTxnInternal(TxnId txn, TcTxn& t, bool notify_api,
                                    Code code) {
-  const auto& cost = cluster_.cost();
   t.aborted = true;
-  for (const auto& w : t.writes) {
-    for (NodeId n : w.chain) {
-      SendToNode(n, cost.msg_small,
-                 [txn, table = w.table, key = w.key,
-                  part = w.part](NdbDatanode& d) {
-                   d.LdmAbortRow(txn, table, key, part);
-                 });
-    }
-  }
-  for (const auto& rl : t.read_locks) {
-    SendToNode(rl.node, cost.msg_small,
-               [txn, table = rl.table, key = rl.key,
-                part = rl.part](NdbDatanode& d) {
-                 d.LdmAbortRow(txn, table, key, part);
-               });
-  }
+  ForEachRow(t, [&](TableId table, const Key& key, PartitionId part,
+                    NodeId n, bool) { AbortRowAt(n, txn, table, key, part); });
   t.writes.clear();
   t.read_locks.clear();
   if (notify_api && t.api >= 0) {
-    SendToApi(t.api, cost.msg_small,
-              OpReply{txn, t.commit_op_id, code, {}, {}});
+    ReplyToApi(t.api, txn, t.commit_op_id, code);
   }
 }
 
 void NdbDatanode::AbortTxnsInvolving(NodeId failed) {
   std::vector<TxnId> doomed;
-  for (auto& [txn, t] : txns_) {
+  for (const auto& [txn, t] : txns_) {
     bool involved = false;
-    for (const auto& w : t.writes) {
-      for (NodeId n : w.chain) {
-        if (n == failed) involved = true;
-      }
-    }
-    for (const auto& rl : t.read_locks) {
-      if (rl.node == failed) involved = true;
-    }
+    ForEachRow(t, [&](TableId, const Key&, PartitionId, NodeId n, bool) {
+      involved |= n == failed;
+    });
     if (involved) doomed.push_back(txn);
   }
   for (TxnId txn : doomed) {
@@ -1018,17 +895,15 @@ void NdbDatanode::AbortTxnsInvolving(NodeId failed) {
 
 std::vector<NdbDatanode::TakeoverRow> NdbDatanode::DrainTxnRowsForTakeover() {
   std::vector<TakeoverRow> rows;
-  for (auto& [txn, t] : txns_) {
-    for (const auto& w : t.writes) {
-      for (NodeId n : w.chain) {
-        rows.push_back(TakeoverRow{txn, w.table, w.key, w.part, n,
-                                   t.committing, t.commit_epoch});
-      }
-    }
-    for (const auto& rl : t.read_locks) {
-      rows.push_back(TakeoverRow{txn, rl.table, rl.key, rl.part, rl.node,
-                                 /*commit_forward=*/false, /*epoch=*/0});
-    }
+  for (const auto& entry : txns_) {
+    const TcTxn& t = entry.second;
+    ForEachRow(t, [&](TableId table, const Key& key, PartitionId part,
+                      NodeId n, bool write) {
+      // Read locks always roll back; written rows follow the commit point.
+      rows.push_back(TakeoverRow{entry.first, table, key, part, n,
+                                 write && t.committing,
+                                 write ? t.commit_epoch : 0});
+    });
   }
   txns_.clear();
   return rows;
@@ -1040,7 +915,6 @@ void NdbDatanode::ResolveTakenOverRow(const TakeoverRow& row) {
     // whatever the already-applied replicas logged for this transaction.
     LogRedo(row.epoch != 0 ? row.epoch : gcp_epoch_ + 1, row.part, row.txn,
             row.table, row.key, store_.Commit(row.table, row.key, row.txn));
-    AccountRedo();
   } else {
     store_.Abort(row.table, row.key, row.txn);
   }
@@ -1051,14 +925,6 @@ void NdbDatanode::SweepInactiveTxns() {
   PROF_ZONE("ndb.tc.sweep");
   const Nanos cutoff =
       cluster_.sim().now() - cluster_.node_config().txn_inactive_timeout;
-  std::vector<TxnId> doomed;
-  std::vector<TxnId> stalled;
-  for (auto& [txn, t] : txns_) {
-    if (t.last_activity < cutoff && !t.committing) doomed.push_back(txn);
-    if (t.last_activity < cutoff && t.committing && !t.aborted) {
-      stalled.push_back(txn);
-    }
-  }
   // A committing transaction past its commit point cannot abort; it can
   // only be wedged by a lost Commit/Complete hop. Chain members that are
   // layout-alive are handled by the failure detector (eviction + take-over
@@ -1066,11 +932,16 @@ void NdbDatanode::SweepInactiveTxns() {
   // partition that swallows their Complete leaves the txn — and every
   // pending replica slot it holds — stuck forever. Re-drive the stalled
   // phase instead: both LdmCommitChain and LdmComplete are idempotent
-  // (Commit no-ops without a pending write, acks are always sent).
-  for (TxnId txn : stalled) {
-    auto it = txns_.find(txn);
-    if (it == txns_.end()) continue;
-    RedriveStalledCommit(txn, it->second);
+  // (Commit no-ops without a pending write, acks are always sent). A
+  // re-drive only queues signals, so it cannot disturb this iteration.
+  std::vector<TxnId> doomed;
+  for (auto& [txn, t] : txns_) {
+    if (t.last_activity >= cutoff) continue;
+    if (!t.committing) {
+      doomed.push_back(txn);
+    } else if (!t.aborted) {
+      RedriveStalledCommit(txn, t);
+    }
   }
   for (TxnId txn : doomed) {
     auto it = txns_.find(txn);
@@ -1132,7 +1003,6 @@ void NdbDatanode::SweepInactiveTxns() {
       // recovery cut has long since passed the original epoch anyway.
       LogRedo(gcp_epoch_ + 1, part, o.txn, o.table, o.key,
               store_.Commit(o.table, o.key, o.txn));
-      AccountRedo();
     } else {
       store_.Abort(o.table, o.key, o.txn);
     }
@@ -1143,43 +1013,28 @@ void NdbDatanode::SweepInactiveTxns() {
 void NdbDatanode::RedriveStalledCommit(TxnId txn, TcTxn& t) {
   Touch(t);  // one re-drive per inactivity timeout, not per sweep tick
   ++proto_stats_.commit_redrives;
-  const auto& cost = cluster_.cost();
   // A chain member that is neither layout-alive nor still accepting
   // catch-up traffic has lost its in-memory pending writes for good
   // (crashed mid-catch-up, or its resync was abandoned); waiting on its
   // ack would wedge the txn forever. Merely-partitioned members stay in —
-  // the next re-drive reaches them once the partition heals.
-  auto gone = [this](NodeId n) {
-    return !cluster_.layout().alive(n) &&
-           !cluster_.datanode(n).catchup_accepting();
+  // the next re-drive reaches them once the partition heals. The primary
+  // (chain head) always stays: it is layout-alive or the failure
+  // detector's take-over path owns this txn's resolution.
+  auto stays = [this](const TcTxn::WriteRow& w, size_t i) {
+    const NodeId n = w.chain[i];
+    return i == 0 || cluster_.layout().alive(n) ||
+           cluster_.datanode(n).catchup_accepting();
   };
   if (t.pending_commits > 0) {
     RLOG_DEBUG(kLog, "node %d re-driving commit chains for stalled txn %llu",
                id_, static_cast<unsigned long long>(txn));
     t.pending_commits = static_cast<int>(t.writes.size());
     for (const auto& w : t.writes) {
-      CommitChainReq creq;
-      creq.txn = txn;
-      creq.tc = id_;
-      creq.table = w.table;
-      creq.key = w.key;
-      creq.part = w.part;
-      creq.epoch = t.commit_epoch;
-      creq.span = t.commit_span;
-      // The primary (chain head) always stays: it is layout-alive or the
-      // failure detector's take-over path owns this txn's resolution.
-      creq.chain.push_back(w.chain.front());
-      for (size_t i = 1; i < w.chain.size(); ++i) {
-        if (!gone(w.chain[i])) creq.chain.push_back(w.chain[i]);
+      std::vector<NodeId> chain;
+      for (size_t i = 0; i < w.chain.size(); ++i) {
+        if (stays(w, i)) chain.push_back(w.chain[i]);
       }
-      creq.pos = static_cast<int>(creq.chain.size()) - 1;
-      const NodeId last = creq.chain.back();
-      const trace::SpanId s = creq.span;
-      SendToNode(last, cost.msg_small,
-                 [creq = std::move(creq)](NdbDatanode& n) mutable {
-                   n.LdmCommitChain(std::move(creq));
-                 },
-                 s);
+      SendCommitChain(txn, t, w, std::move(chain));
     }
     return;
   }
@@ -1189,38 +1044,125 @@ void NdbDatanode::RedriveStalledCommit(TxnId txn, TcTxn& t) {
   t.pending_completes = 0;
   for (const auto& w : t.writes) {
     for (size_t i = 0; i < w.chain.size(); ++i) {
-      if (i > 0 && gone(w.chain[i])) continue;
+      if (!stays(w, i)) continue;
       ++t.pending_completes;
+      SendComplete(txn, t, w, i);
     }
   }
-  for (const auto& w : t.writes) {
-    for (size_t i = 0; i < w.chain.size(); ++i) {
-      if (i > 0 && gone(w.chain[i])) continue;
-      CompleteReq creq;
-      creq.txn = txn;
-      creq.tc = id_;
-      creq.table = w.table;
-      creq.key = w.key;
-      creq.part = w.part;
-      creq.epoch = t.commit_epoch;
-      creq.is_primary = i == 0;
-      creq.span = t.commit_span;
-      SendToNode(w.chain[i], cost.msg_small,
-                 [creq = std::move(creq)](NdbDatanode& n) mutable {
-                   n.LdmComplete(std::move(creq));
-                 },
-                 t.commit_span);
-    }
+}
+
+// ---------------------------------------------------------------------------
+// Signal steps
+// ---------------------------------------------------------------------------
+
+void NdbDatanode::AbortRowAt(NodeId node, TxnId txn, TableId table,
+                             const Key& key, PartitionId part) {
+  // Exactly these four fields: the closure then fills SmallCall's inline
+  // buffer and the send stays allocation-free.
+  SendToNode(node, cluster_.cost().msg_small,
+             [txn, table, key, part](NdbDatanode& d) {
+               d.LdmAbortRow(txn, table, key, part);
+             });
+}
+
+void NdbDatanode::UnwindChain(const PrepareReq& req) {
+  for (int i = 0; i < req.pos; ++i) {
+    AbortRowAt(req.chain[i], req.txn, req.table, req.key, req.part);
   }
+}
+
+void NdbDatanode::ReplyPrepared(PrepareReq req, Code code) {
+  const NodeId tc = req.tc;
+  const trace::SpanId span = req.span;
+  SendToNode(tc, cluster_.cost().msg_small,
+             [txn = req.txn, op_id = req.op_id, code, table = req.table,
+              key = std::move(req.key), part = req.part,
+              chain = std::move(req.chain), span](NdbDatanode& n) {
+               n.TcPrepared(txn, op_id, code, table, key, part, chain, span);
+             },
+             span);
+}
+
+void NdbDatanode::ReplyToApi(ApiNodeId api, TxnId txn, uint64_t op_id,
+                             Code code, trace::SpanId span) {
+  SendToApi(api, cluster_.cost().msg_small, OpReply{txn, op_id, code, {}, {}},
+            span);
+}
+
+void NdbDatanode::SendCommitChain(TxnId txn, const TcTxn& t,
+                                  const TcTxn::WriteRow& w,
+                                  std::vector<NodeId> chain) {
+  CommitChainReq creq;
+  creq.txn = txn;
+  creq.tc = id_;
+  creq.table = w.table;
+  creq.key = w.key;
+  creq.part = w.part;
+  creq.epoch = t.commit_epoch;
+  creq.pos = static_cast<int>(chain.size()) - 1;
+  creq.span = t.commit_span;
+  const NodeId last = chain.back();
+  creq.chain = std::move(chain);
+  SendToNode(last, cluster_.cost().msg_small,
+             [creq = std::move(creq)](NdbDatanode& n) mutable {
+               n.LdmCommitChain(std::move(creq));
+             },
+             t.commit_span);
+}
+
+void NdbDatanode::SendComplete(TxnId txn, const TcTxn& t,
+                               const TcTxn::WriteRow& w, size_t i) {
+  CompleteReq creq;
+  creq.txn = txn;
+  creq.tc = id_;
+  creq.table = w.table;
+  creq.key = w.key;
+  creq.part = w.part;
+  creq.epoch = t.commit_epoch;
+  creq.is_primary = i == 0;
+  creq.span = t.commit_span;
+  SendToNode(w.chain[i], cluster_.cost().msg_small,
+             [creq = std::move(creq)](NdbDatanode& n) mutable {
+               n.LdmComplete(std::move(creq));
+             },
+             t.commit_span);
+}
+
+void NdbDatanode::WaitForBusySlot(PrepareReq req) {
+  const bool primary = req.pos == 0;
+  if (++req.busy_retries > 1000) {
+    RLOG_WARN(kLog, "node %d: %spending slot on %s never freed", id_,
+              primary ? "primary " : "", req.key.c_str());
+    if (primary) locks_.Release(req.txn, req.table, req.key);
+    ReplyPrepared(std::move(req), Code::kTimedOut);
+    return;
+  }
+  const Nanos now = cluster_.sim().now();
+  cluster_.tracer().AddSpanAt(req.span, "prepare.busy_wait",
+                              trace::Layer::kNdb, trace::Cause::kRetry, host_,
+                              az(), now, now + 200 * kMicrosecond);
+  cluster_.sim().After(200 * kMicrosecond,
+                       [this, req = std::move(req)]() mutable {
+                         // A crash clears the primary's lock table and
+                         // pending rows, so its retry dies with them.
+                         // Catch-up backups must keep retrying (and
+                         // eventually NACK) like any other backup: dying
+                         // silently leaves the TC waiting for a reply that
+                         // never comes.
+                         if (req.pos == 0) {
+                           if (alive_) LdmPrimaryStage(std::move(req));
+                         } else if (accepting()) {
+                           LdmPrepare(std::move(req));
+                         }
+                       });
 }
 
 // ---------------------------------------------------------------------------
 // LDM role
 // ---------------------------------------------------------------------------
 
-void NdbDatanode::LdmCommittedRead(KeyOpReq req, int replica_idx) {
+void NdbDatanode::LdmCommittedRead(KeyOpReq req) {
   PROF_ZONE("ndb.ldm.committed_read");
-  (void)replica_idx;
   ++proto_stats_.committed_reads;
   const PartitionId part = cluster_.layout().PartitionOf(req.table, req.key);
   const trace::SpanId span = req.span;
@@ -1287,27 +1229,20 @@ void NdbDatanode::LdmLockedRead(PrepareReq probe) {
 }
 
 void NdbDatanode::ForwardPrepare(PrepareReq req) {
-  const auto& cost = cluster_.cost();
-  if (req.pos + 1 < static_cast<int>(req.chain.size())) {
-    req.pos += 1;
-    const NodeId next = req.chain[req.pos];
-    const int64_t bytes =
-        cost.msg_write_base + static_cast<int64_t>(req.value.size());
-    const trace::SpanId s = req.span;
-    SendToNode(next, bytes,
-               [req = std::move(req)](NdbDatanode& n) mutable {
-                 n.LdmPrepare(std::move(req));
-               },
-               s);
-  } else {
-    const trace::SpanId s = req.span;
-    SendToNode(req.tc, cost.msg_small,
-               [req = std::move(req)](NdbDatanode& tc) {
-                 tc.TcPrepared(req.txn, req.op_id, Code::kOk, req.table,
-                               req.key, req.part, req.chain, req.span);
-               },
-               s);
+  if (req.pos + 1 >= static_cast<int>(req.chain.size())) {
+    ReplyPrepared(std::move(req), Code::kOk);  // the chain's last replica
+    return;
   }
+  req.pos += 1;
+  const NodeId next = req.chain[req.pos];
+  const int64_t bytes = cluster_.cost().msg_write_base +
+                        static_cast<int64_t>(req.value.size());
+  const trace::SpanId s = req.span;
+  SendToNode(next, bytes,
+             [req = std::move(req)](NdbDatanode& n) mutable {
+               n.LdmPrepare(std::move(req));
+             },
+             s);
 }
 
 void NdbDatanode::LdmPrepare(PrepareReq req) {
@@ -1317,146 +1252,86 @@ void NdbDatanode::LdmPrepare(PrepareReq req) {
   const Booking b = RunLdm(
       req.part, cluster_.cost().ldm_prepare,
       [this, req = std::move(req)]() mutable {
-           if (!accepting()) return;
-           if (!cluster_.layout().alive(req.tc)) {
-             // The coordinator died while this prepare was in flight.
-             // Take-over has already rolled its transactions back, but it
-             // can only see rows the TC had recorded — and the TC records
-             // a write only once the whole chain has prepared. Rows staged
-             // by earlier chain members are therefore invisible to
-             // take-over: unwind them here instead of staging one more
-             // pending write that nobody will ever commit or abort.
-             const auto& cost = cluster_.cost();
-             for (int i = 0; i < req.pos; ++i) {
-               SendToNode(req.chain[i], cost.msg_small,
-                          [txn = req.txn, table = req.table, key = req.key,
-                           part = req.part](NdbDatanode& d) {
-                            d.LdmAbortRow(txn, table, key, part);
-                          });
-             }
-             return;
-           }
-           // Redo backpressure: refuse new work while the unflushed
-           // journal backlog exceeds the stall limit (saturated or
-           // grey-slow log disk). kResourceExhausted aborts the txn and
-           // counts against availability, so the AIMD admission layer
-           // sheds load until the log disk catches up — bounding journal
-           // memory instead of growing it without limit. Commits already
-           // past their decision point are never stalled (WAL semantics:
-           // backpressure applies at admission, not at apply).
-           if (cluster_has_durability_ &&
-               journal_.backlog_bytes() >
-                   cluster_.node_config().redo_stall_backlog_bytes) {
-             const auto& cost = cluster_.cost();
-             for (int i = 0; i < req.pos; ++i) {
-               SendToNode(req.chain[i], cost.msg_small,
-                          [txn = req.txn, table = req.table, key = req.key,
-                           part = req.part](NdbDatanode& d) {
-                            d.LdmAbortRow(txn, table, key, part);
-                          });
-             }
-             const trace::SpanId sp = req.span;
-             SendToNode(req.tc, cost.msg_small,
-                        [req](NdbDatanode& tc) {
-                          tc.TcPrepared(req.txn, req.op_id,
-                                        Code::kResourceExhausted, req.table,
-                                        req.key, req.part, req.chain,
-                                        req.span);
-                        },
-                        sp);
-             return;
-           }
-           trace::Tracer& tracer = cluster_.tracer();
-           const bool is_primary = req.pos == 0;
-           if (!is_primary) {
-             // Backups stage the pending write without locking; the
-             // primary's lock serialises writers. A backup may still hold
-             // the previous transaction's pending write (applied only when
-             // its Complete lands): wait for that slot to free — the
-             // predecessor's Complete/Abort is already in flight, and
-             // coordinator failure frees the slot via take-over.
-             if (!store_.Prepare(req.table, req.key, req.type, req.value,
-                                 req.txn, req.tc, cluster_.sim().now())) {
-               req.busy_retries += 1;
-               if (req.busy_retries > 1000) {
-                 RLOG_WARN(kLog, "node %d: pending slot on %s never freed",
-                           id_, req.key.c_str());
-                 const trace::SpanId s = req.span;
-                 SendToNode(req.tc, cluster_.cost().msg_small,
-                            [req](NdbDatanode& tc) {
-                              tc.TcPrepared(req.txn, req.op_id,
-                                            Code::kTimedOut, req.table,
-                                            req.key, req.part, req.chain,
-                                            req.span);
-                            },
-                            s);
-                 return;
-               }
-               const Nanos now = cluster_.sim().now();
-               tracer.AddSpanAt(req.span, "prepare.busy_wait",
-                                trace::Layer::kNdb, trace::Cause::kRetry,
-                                host_, az(), now, now + 200 * kMicrosecond);
-               cluster_.sim().After(200 * kMicrosecond,
-                                    [this, req = std::move(req)]() mutable {
-                                      // Catch-up backups must keep retrying
-                                      // (and eventually NACK) like any other
-                                      // backup — dying silently here leaves
-                                      // the TC waiting for a reply that
-                                      // never comes.
-                                      if (accepting()) {
-                                        LdmPrepare(std::move(req));
-                                      }
-                                    });
-               return;
-             }
-             ForwardPrepare(std::move(req));
-             return;
-           }
-           // Copy the lock identity out before moving req into the
-           // continuation (argument evaluation order is unspecified).
-           const TxnId txn = req.txn;
-           const TableId table = req.table;
-           const Key key = req.key;
-           const trace::SpanId wait =
-               tracer.StartSpan(req.span, "lock.wait", trace::Layer::kNdb,
-                                trace::Cause::kLockWait, host_, az());
-           locks_.Acquire(
-               txn, table, key, LockMode::kExclusive,
-               [this, req = std::move(req), wait](Status s) mutable {
-                 cluster_.tracer().EndSpan(wait);
-                 Code code = Code::kOk;
-                 if (!s.ok()) {
-                   code = s.code();
-                 } else if (req.insert_only &&
-                            store_.ExistsCommitted(req.table, req.key)) {
-                   code = Code::kAlreadyExists;
-                 } else if (req.must_exist &&
-                            !store_.ExistsCommitted(req.table, req.key)) {
-                   code = Code::kNotFound;
-                 }
-                 if (code != Code::kOk) {
-                   if (s.ok()) locks_.Release(req.txn, req.table, req.key);
-                   const trace::SpanId sp = req.span;
-                   SendToNode(req.tc, cluster_.cost().msg_small,
-                              [req, code](NdbDatanode& tc) {
-                                tc.TcPrepared(req.txn, req.op_id, code,
-                                              req.table, req.key, req.part,
-                                              req.chain, req.span);
-                              },
-                              sp);
-                   return;
-                 }
-                 // The row lock serialises writers on a stable primary,
-                 // but the primary role itself can move — a failover, or
-                 // a catch-up rejoin that re-attached this node after it
-                 // staged the row as a backup under the old chain. The
-                 // slot may therefore hold another transaction's pending
-                 // write; stage under the lock, waiting for that write's
-                 // in-flight Complete/Abort (or take-over / the orphan
-                 // sweep) to free it.
-                 LdmPrimaryStage(std::move(req));
-               });
-         });
+        if (!accepting()) return;
+        if (!cluster_.layout().alive(req.tc)) {
+          // The coordinator died while this prepare was in flight.
+          // Take-over has already rolled its transactions back, but it
+          // can only see rows the TC had recorded — and the TC records a
+          // write only once the whole chain has prepared. Rows staged by
+          // earlier chain members are therefore invisible to take-over:
+          // unwind them here instead of staging one more pending write
+          // that nobody will ever commit or abort.
+          UnwindChain(req);
+          return;
+        }
+        // Redo backpressure: refuse new work while the unflushed journal
+        // backlog exceeds the stall limit (saturated or grey-slow log
+        // disk). kResourceExhausted aborts the txn and counts against
+        // availability, so the AIMD admission layer sheds load until the
+        // log disk catches up — bounding journal memory instead of
+        // growing it without limit. Commits already past their decision
+        // point are never stalled (WAL semantics: backpressure applies at
+        // admission, not at apply).
+        if (journal_.backlog_bytes() >
+            cluster_.node_config().redo_stall_backlog_bytes) {
+          UnwindChain(req);
+          ReplyPrepared(std::move(req), Code::kResourceExhausted);
+          return;
+        }
+        if (req.pos > 0) {
+          // Backups stage the pending write without locking; the
+          // primary's lock serialises writers. A backup may still hold
+          // the previous transaction's pending write (applied only when
+          // its Complete lands): wait for that slot to free — the
+          // predecessor's Complete/Abort is already in flight, and
+          // coordinator failure frees the slot via take-over. A refusal
+          // after the wait does not unwind the members before it.
+          if (store_.Prepare(req.table, req.key, req.type, req.value,
+                             req.txn, req.tc, cluster_.sim().now())) {
+            ForwardPrepare(std::move(req));
+          } else {
+            WaitForBusySlot(std::move(req));
+          }
+          return;
+        }
+        // Copy the lock identity out before moving req into the
+        // continuation (argument evaluation order is unspecified).
+        const TxnId txn = req.txn;
+        const TableId table = req.table;
+        const Key key = req.key;
+        const trace::SpanId wait = cluster_.tracer().StartSpan(
+            req.span, "lock.wait", trace::Layer::kNdb,
+            trace::Cause::kLockWait, host_, az());
+        locks_.Acquire(
+            txn, table, key, LockMode::kExclusive,
+            [this, req = std::move(req), wait](Status s) mutable {
+              cluster_.tracer().EndSpan(wait);
+              Code code = Code::kOk;
+              if (!s.ok()) {
+                code = s.code();
+              } else if (req.insert_only &&
+                         store_.ExistsCommitted(req.table, req.key)) {
+                code = Code::kAlreadyExists;
+              } else if (req.must_exist &&
+                         !store_.ExistsCommitted(req.table, req.key)) {
+                code = Code::kNotFound;
+              }
+              if (code != Code::kOk) {
+                if (s.ok()) locks_.Release(req.txn, req.table, req.key);
+                ReplyPrepared(std::move(req), code);
+                return;
+              }
+              // The row lock serialises writers on a stable primary, but
+              // the primary role itself can move — a failover, or a
+              // catch-up rejoin that re-attached this node after it
+              // staged the row as a backup under the old chain. The slot
+              // may therefore hold another transaction's pending write;
+              // stage under the lock, waiting for that write's in-flight
+              // Complete/Abort (or take-over / the orphan sweep) to free
+              // it.
+              LdmPrimaryStage(std::move(req));
+            });
+      });
   TraceCpu(op_span, "ldm.prepare", b);
 }
 
@@ -1468,32 +1343,9 @@ void NdbDatanode::LdmPrimaryStage(PrepareReq req) {
   if (store_.Prepare(req.table, req.key, req.type, req.value, req.txn,
                      req.tc, cluster_.sim().now())) {
     ForwardPrepare(std::move(req));
-    return;
+  } else {
+    WaitForBusySlot(std::move(req));
   }
-  req.busy_retries += 1;
-  if (req.busy_retries > 1000) {
-    RLOG_WARN(kLog, "node %d: primary pending slot on %s never freed", id_,
-              req.key.c_str());
-    locks_.Release(req.txn, req.table, req.key);
-    const trace::SpanId sp = req.span;
-    SendToNode(req.tc, cluster_.cost().msg_small,
-               [req](NdbDatanode& tc) {
-                 tc.TcPrepared(req.txn, req.op_id, Code::kTimedOut, req.table,
-                               req.key, req.part, req.chain, req.span);
-               },
-               sp);
-    return;
-  }
-  const Nanos now = cluster_.sim().now();
-  cluster_.tracer().AddSpanAt(req.span, "prepare.busy_wait",
-                              trace::Layer::kNdb, trace::Cause::kRetry, host_,
-                              az(), now, now + 200 * kMicrosecond);
-  cluster_.sim().After(200 * kMicrosecond,
-                       [this, req = std::move(req)]() mutable {
-                         // A crash clears the lock table and pending rows;
-                         // the retry dies with them.
-                         if (alive_) LdmPrimaryStage(std::move(req));
-                       });
 }
 
 void NdbDatanode::LdmCommitChain(CommitChainReq req) {
@@ -1510,7 +1362,6 @@ void NdbDatanode::LdmCommitChain(CommitChainReq req) {
           LogRedo(req.epoch, req.part, req.txn, req.table, req.key,
                   store_.Commit(req.table, req.key, req.txn));
           locks_.Release(req.txn, req.table, req.key);
-          AccountRedo();
           SendToNode(req.tc, cost.msg_small,
                      [txn = req.txn](NdbDatanode& tc) {
                        tc.TcCommitted(txn);
@@ -1544,7 +1395,6 @@ void NdbDatanode::LdmComplete(CompleteReq req) {
         if (!req.is_primary) {
           LogRedo(req.epoch, req.part, req.txn, req.table, req.key,
                   store_.Commit(req.table, req.key, req.txn));
-          AccountRedo();
         }
         SendToNode(req.tc, cluster_.cost().msg_small,
                    [txn = req.txn](NdbDatanode& tc) {
@@ -1574,8 +1424,7 @@ void NdbDatanode::LdmUnlock(TxnId txn, TableId table, Key key,
          });
 }
 
-void NdbDatanode::LdmScanExec(ScanReq req, PartitionId part, int replica_idx) {
-  (void)replica_idx;
+void NdbDatanode::LdmScanExec(ScanReq req, PartitionId part) {
   ++proto_stats_.scans;
   // Row lookup is done inline; the LDM cost scales with rows returned.
   auto rows = store_.ScanPrefix(req.table, req.prefix, req.txn);

@@ -19,6 +19,10 @@
 // the primary. With the Read Backup table option (§IV-A3) the TC delays
 // the ack until all Completed messages have arrived, making every replica
 // safe for committed reads — the enabler for AZ-local reads.
+//
+// Each signal is built in one private step that every sender shares, so a
+// re-drive or a NACK sends exactly what a first attempt does. The redo
+// journal, its group commit, local checkpoints and backpressure are on.
 #pragma once
 
 #include <memory>
@@ -170,11 +174,8 @@ class NdbDatanode {
   // Brings a stopped node back into service (node recovery; data must
   // already have been resynchronised by the cluster).
   void Revive();
-  // True if any transaction this node coordinates touches a partition of
-  // the given node group (used to fence node rejoin).
-  bool HasTxnTouchingGroup(int group) const;
-  // Same, for a single partition (fences streaming per-partition
-  // catch-up during node rejoin).
+  // True if any transaction this node coordinates touches the partition
+  // (fences streaming per-partition catch-up during node rejoin).
   bool HasTxnTouchingPartition(PartitionId part) const;
 
   // -- entry points (invoked after RECV-thread queueing) --
@@ -184,7 +185,7 @@ class NdbDatanode {
                 trace::SpanId span = 0);
   void TcAbort(TxnId txn);
 
-  void LdmCommittedRead(KeyOpReq req, int replica_idx);
+  void LdmCommittedRead(KeyOpReq req);
   void LdmLockedRead(PrepareReq probe);  // reuses chain fields for routing
   void LdmPrepare(PrepareReq req);
   void LdmCommitChain(CommitChainReq req);
@@ -193,7 +194,7 @@ class NdbDatanode {
   // Releases a shared/exclusive read lock without touching pending writes
   // (used at the commit point for rows that were only read).
   void LdmUnlock(TxnId txn, TableId table, Key key, PartitionId part);
-  void LdmScanExec(ScanReq req, PartitionId part, int replica_idx);
+  void LdmScanExec(ScanReq req, PartitionId part);
 
   // TC-side protocol confirmations.
   void TcLockedReadResult(TxnId txn, uint64_t op_id, Code code,
@@ -244,7 +245,7 @@ class NdbDatanode {
   // versa) — and a slow log disk is a distinct, injectable failure mode.
   Disk& log_disk() { return *log_disk_; }
 
-  // ---- durability: write-ahead redo journal (enable_durability) ----
+  // ---- durability: write-ahead redo journal ----
   RedoJournal& journal() { return journal_; }
   const RedoJournal& journal() const { return journal_; }
   // The cluster announced a new GCP epoch: commit decisions from now on
@@ -257,9 +258,7 @@ class NdbDatanode {
   int64_t gcp_epoch() const { return gcp_epoch_; }
   // The cluster determined every transaction of epochs <= epoch has
   // finished committing: record the epoch boundary in the journal.
-  void CloseGcpEpoch(int64_t epoch) {
-    if (cluster_has_durability_) journal_.CloseEpoch(epoch);
-  }
+  void CloseGcpEpoch(int64_t epoch) { journal_.CloseEpoch(epoch); }
   // True if this node coordinates a transaction that took its commit
   // decision at or below `epoch` and has not finished its commit/complete
   // chain — the cluster must not close the epoch yet.
@@ -273,9 +272,8 @@ class NdbDatanode {
   bool lcp_in_progress() const { return lcp_inflight_; }
   // Bootstrap data is durable by definition (loaded before the run).
   void LogBootstrap(TableId table, const Key& key, const std::string& value) {
-    if (cluster_has_durability_) journal_.BootstrapRow(table, key, value);
+    journal_.BootstrapRow(table, key, value);
   }
-  void set_cluster_has_durability(bool v) { cluster_has_durability_ = v; }
 
   // ---- node recovery state machine (down -> replaying -> resyncing ->
   // serving), driven by NdbCluster::RestartDatanode ----
@@ -392,7 +390,7 @@ class NdbDatanode {
     // Partitions with a prepare chain launched but not yet acknowledged.
     // `writes` is only recorded once the whole chain has prepared, so a
     // mid-chain transaction is invisible through it — the restart fence
-    // (HasTxnTouchingGroup) must see these too or it can adopt a peer
+    // (HasTxnTouchingPartition) must see these too or it can adopt a peer
     // image that predates a write the chain is about to commit.
     std::vector<PartitionId> inflight_parts;
     struct HeldLock {
@@ -411,6 +409,10 @@ class NdbDatanode {
 
   TcTxn& Txn(TxnId txn, ApiNodeId api);
   void Touch(TcTxn& t);
+  // Visits every row a transaction holds: each replica of each prepared
+  // write (`write` = true), then each read lock.
+  template <typename F>
+  static void ForEachRow(const TcTxn& t, F&& f);
   // Chooses the replica that serves a committed read (§IV-A4 routing).
   NodeId RouteCommittedRead(TableId table, PartitionId part,
                             int* replica_idx);
@@ -423,9 +425,23 @@ class NdbDatanode {
   void FinishCommit(TxnId txn, TcTxn& t);
   void AbortTxnInternal(TxnId txn, TcTxn& t, bool notify_api, Code code);
   void ForwardPrepare(PrepareReq req);
-  // Legacy cost-only redo accounting for durability-off clusters (the
-  // journal tracks real record bytes when durability is on).
-  void AccountRedo();
+
+  // ---- signal steps: each protocol signal is built and sent here ----
+  void AbortRowAt(NodeId node, TxnId txn, TableId table, const Key& key,
+                  PartitionId part);  // LdmAbortRow
+  void UnwindChain(const PrepareReq& req);  // abort rows at chain[0..pos)
+  void ReplyPrepared(PrepareReq req, Code code);  // TcPrepared ack / NACK
+  void ReplyToApi(ApiNodeId api, TxnId txn, uint64_t op_id, Code code,
+                  trace::SpanId span = 0);  // payload-free OpReply
+  void SendCommitChain(TxnId txn, const TcTxn& t, const TcTxn::WriteRow& w,
+                       std::vector<NodeId> chain);  // to chain.back()
+  void SendComplete(TxnId txn, const TcTxn& t, const TcTxn::WriteRow& w,
+                    size_t i);  // to w.chain[i]
+  // Retries a prepare whose row slot holds another txn's pending write
+  // every 200 µs, up to 1,000 times, then NACKs kTimedOut.
+  void WaitForBusySlot(PrepareReq req);
+  // One partition's image write of a local checkpoint round, then the next.
+  void CheckpointFragment(int64_t cut, uint64_t gen, PartitionId part);
   // Emits queue/service spans for a thread-pool booking under `parent`
   // (no-op when the op is unsampled). `what` names the span: "<what>" for
   // the service slice, "<what>.queue" for any wait before it.
@@ -454,14 +470,12 @@ class NdbDatanode {
 
   std::unordered_map<TxnId, TcTxn> txns_;
   uint64_t rr_counter_ = 0;      // proximity tie-break round robin
-  int64_t redo_pending_bytes_ = 0;
   ProtocolStats proto_stats_;
   RedoJournal journal_;
   int64_t gcp_epoch_ = 0;
   RecoveryPhase recovery_phase_ = RecoveryPhase::kServing;
   uint64_t recovery_gen_ = 0;
   bool lcp_inflight_ = false;
-  bool cluster_has_durability_ = false;
   bool grey_degraded_ = false;
   bool log_disk_slow_ = false;
   bool test_lose_acked_writes_ = false;

@@ -290,7 +290,6 @@ TEST(HopsFsDurability, FilesystemSurvivesFullClusterRestart) {
   auto options = DeploymentOptions::FromPaperSetup(
       PaperSetup::kHopsFsCl_3_3, /*num_namenodes=*/3);
   options.ndb_datanodes = 6;
-  options.ndb_node.enable_durability = true;
   Deployment dep(sim, options);
   dep.Start();
   sim.RunFor(Seconds(3));

@@ -28,7 +28,6 @@ class NdbDurabilityTest : public ::testing::Test {
     config.layout.node_az = AssignNodeAzs(6, 3, {0, 1, 2});
     config.layout.num_ldm_threads = 4;
     config.flags.az_aware = true;
-    config.node.enable_durability = true;
     cluster = std::make_unique<NdbCluster>(*sim, *network, &catalog, config);
     cluster->StartProtocols();
     const HostId host = topology->AddHost(0, "api");

@@ -18,7 +18,8 @@ namespace repro::ndb::testing {
 
 struct TestCluster {
   explicit TestCluster(int num_datanodes = 6, int replication = 3,
-                       bool az_aware = true, bool read_backup = true) {
+                       bool az_aware = true, bool read_backup = true,
+                       NdbNodeConfig node_config = {}) {
     sim = std::make_unique<Simulation>(42);
     topology = std::make_unique<Topology>(3, AzLatencyTable::UsWest1());
     topology->set_jitter_fraction(0);  // exact determinism for tests
@@ -43,6 +44,7 @@ struct TestCluster {
         AssignNodeAzs(num_datanodes, replication, {0, 1, 2});
     config.layout.num_ldm_threads = 4;
     config.flags.az_aware = az_aware;
+    config.node = node_config;
     cluster =
         std::make_unique<NdbCluster>(*sim, *network, &catalog, config);
 
