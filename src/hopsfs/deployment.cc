@@ -72,8 +72,7 @@ Deployment::Deployment(Simulation& sim, DeploymentOptions options)
     options_.nn.admission_enabled = false;
     options_.nn.ndb_hedge_delay = 0;
     options_.client.op_deadline = 0;
-    options_.client.retry_budget_enabled = false;
-    options_.client.breaker_enabled = false;
+    options_.client.resilience = false;
     options_.client.hedged_reads = false;
   }
 
