@@ -139,6 +139,14 @@ struct Namenode::RepairQueue {
   blocks::DnId dn = -1;
   std::vector<std::pair<ndb::Key, std::string>> rows;
   size_t next = 0;
+  // The repair of rows[next - 1]: its transaction, the block row writes
+  // still outstanding, and the copy's source and replacement target.
+  ndb::TxnId txn = 0;
+  int writes_left = 0;
+  bool write_failed = false;
+  blocks::DnId source = -1;
+  blocks::DnId target = -1;
+  uint64_t block_id = 0;
 };
 
 void Namenode::ReplicationMonitorRound() {
@@ -174,29 +182,26 @@ void Namenode::ReplicationMonitorRound() {
 
 void Namenode::RepairNext(std::shared_ptr<RepairQueue> q) {
   if (q->next >= q->rows.size()) return;
-  const size_t i = q->next++;
-  RepairBlock(q->dn, q->rows[i].first, q->rows[i].second,
-              [this, q] { RepairNext(q); });
+  ++q->next;
+  RepairBlock(std::move(q));
 }
 
-void Namenode::RepairBlock(blocks::DnId dead_dn,
-                           const std::string& dn_block_key,
-                           const std::string& block_row_key,
-                           std::function<void()> done) {
-  const ndb::TxnId txn = api_->Begin(tables_.blocks, block_row_key);
-  if (txn == 0) {
-    done();
+void Namenode::RepairBlock(std::shared_ptr<RepairQueue> q) {
+  const std::string& block_row_key = q->rows[q->next - 1].second;
+  q->txn = api_->Begin(tables_.blocks, block_row_key);
+  if (q->txn == 0) {
+    RepairNext(std::move(q));
     return;
   }
-  auto give_up = [this, txn, done](const char* why) {
-    RLOG_WARN(kLog, "block repair skipped: %s", why);
-    api_->Abort(txn);
-    done();
-  };
   api_->Read(
-      txn, tables_.blocks, block_row_key, ndb::LockMode::kExclusive,
-      [this, txn, dead_dn, dn_block_key, block_row_key, done, give_up](
-          Code code, std::optional<std::string> value) {
+      q->txn, tables_.blocks, block_row_key, ndb::LockMode::kExclusive,
+      [this, q](Code code, std::optional<std::string> value) {
+        const auto& [dn_block_key, block_row_key] = q->rows[q->next - 1];
+        const auto give_up = [this, &q](const char* why) {
+          RLOG_WARN(kLog, "block repair skipped: %s", why);
+          api_->Abort(q->txn);
+          RepairNext(q);
+        };
         BlockRow block;
         if (code != Code::kOk || !value ||
             !BlockRow::Decode(*value, &block)) {
@@ -204,8 +209,7 @@ void Namenode::RepairBlock(blocks::DnId dead_dn,
           return;
         }
         auto& reps = block.replicas;
-        reps.erase(std::remove(reps.begin(), reps.end(), dead_dn),
-                   reps.end());
+        reps.erase(std::remove(reps.begin(), reps.end(), q->dn), reps.end());
         const blocks::DnId target = placement_->ChooseReplacement(
             reps, *dn_registry_, sim_.now(), rng_);
         blocks::DnId source = -1;
@@ -220,37 +224,41 @@ void Namenode::RepairBlock(blocks::DnId dead_dn,
           return;
         }
         reps.push_back(target);
-
-        auto pending = std::make_shared<int>(3);
-        auto failed = std::make_shared<bool>(false);
-        auto one_done = [this, txn, pending, failed, done, source, target,
-                         block](Code c) {
-          if (c != Code::kOk) *failed = true;
-          if (--*pending > 0) return;
-          if (*failed) {
-            api_->Abort(txn);
-            done();
-            return;
-          }
-          api_->Commit(txn, [this, done, source, target, block](Code cc) {
-            if (cc == Code::kOk) {
-              auto* src = dn_registry_->dn(source);
-              auto* dst = dn_registry_->dn(target);
-              network_.Send(host_, src->host(), 128,
-                            [src, dst, id = block.block_id] {
-                              src->CopyBlockTo(*dst, id, nullptr);
-                            });
-            }
-            done();
-          });
-        };
-        api_->Update(txn, tables_.blocks, block_row_key, block.Encode(),
+        q->writes_left = 3;
+        q->write_failed = false;
+        q->source = source;
+        q->target = target;
+        q->block_id = block.block_id;
+        const auto one_done = [this, q](Code c) { RepairWriteDone(q, c); };
+        api_->Update(q->txn, tables_.blocks, block_row_key, block.Encode(),
                      one_done);
-        api_->Delete(txn, tables_.dn_blocks, dn_block_key, one_done);
-        api_->Insert(txn, tables_.dn_blocks,
+        api_->Delete(q->txn, tables_.dn_blocks, dn_block_key, one_done);
+        api_->Insert(q->txn, tables_.dn_blocks,
                      DnBlockKey(target, block.block_id), block_row_key,
                      one_done);
       });
+}
+
+void Namenode::RepairWriteDone(const std::shared_ptr<RepairQueue>& q,
+                               Code code) {
+  if (code != Code::kOk) q->write_failed = true;
+  if (--q->writes_left > 0) return;
+  if (q->write_failed) {
+    api_->Abort(q->txn);
+    RepairNext(q);
+    return;
+  }
+  api_->Commit(q->txn, [this, q](Code cc) {
+    if (cc == Code::kOk) {
+      auto* src = dn_registry_->dn(q->source);
+      auto* dst = dn_registry_->dn(q->target);
+      network_.Send(host_, src->host(), 128,
+                    [src, dst, id = q->block_id] {
+                      src->CopyBlockTo(*dst, id, nullptr);
+                    });
+    }
+    RepairNext(q);
+  });
 }
 
 }  // namespace repro::hopsfs

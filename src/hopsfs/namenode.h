@@ -265,12 +265,14 @@ class Namenode {
   // instead of threading a self-referencing closure chain.
   struct RepairQueue;
   void RepairNext(std::shared_ptr<RepairQueue> q);
-  // Restores the replication level of one block after a DN loss: rewrites
-  // the block row and index rows in a transaction, then streams a copy
-  // from a surviving replica to the chosen replacement.
-  void RepairBlock(blocks::DnId dead_dn, const std::string& dn_block_key,
-                   const std::string& block_row_key,
-                   std::function<void()> done);
+  // Restores the replication level of the queue's current block after a
+  // DN loss: rewrites the block row and index rows in a transaction, then
+  // streams a copy from a surviving replica to the chosen replacement.
+  // Either way it moves on to the next block.
+  void RepairBlock(std::shared_ptr<RepairQueue> q);
+  // One of the repair transaction's three writes answered; the last one
+  // commits (or aborts) the transaction.
+  void RepairWriteDone(const std::shared_ptr<RepairQueue>& q, Code code);
 
   InodeId NextInodeId() {
     return (static_cast<InodeId>(nn_id_ + 2) << 40) | ++inode_counter_;

@@ -3,6 +3,9 @@
 // and recursive subtree delete.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "hopsfs_test_util.h"
 #include "util/strings.h"
 
@@ -197,6 +200,74 @@ TEST(HopsFsExtendedOps, DeleteRecursiveDropsBlockRows) {
   EXPECT_EQ(rows(tables.dn_blocks), 0);
   fs.sim->RunFor(Seconds(1));  // the post-commit DeleteBlock sends land
   EXPECT_EQ(replicas(), 0);
+}
+
+// The leader's re-replication: when a block datanode holding a replica
+// goes silent, the leader rewrites the block row to three live replicas,
+// moves the dn_blocks index row to the replacement and copies the block
+// there. The NDB image and protocol counters are pinned, so the repair
+// transaction must issue the same calls.
+TEST(HopsFsExtendedOps, LostBlockReplicaIsReReplicated) {
+  TestFs fs(PaperSetup::kHopsFsCl_3_3, /*num_nns=*/3, /*block_dns=*/6);
+  ndb::NdbCluster& ndb = fs.deployment->ndb();
+  const FsTables& tables = fs.deployment->tables();
+  blocks::DnRegistry& dns = *fs.deployment->dn_registry();
+  const auto row = [&](ndb::TableId table, const std::string& key) {
+    for (int i = 0; i < ndb.num_datanodes(); ++i) {
+      auto v = ndb.datanode(i).store().Read(table, key, 0);
+      if (v) return v;
+    }
+    return std::optional<std::string>();
+  };
+  ASSERT_TRUE(fs.Mkdir("/r").ok());
+  ASSERT_TRUE(fs.Create("/r/big", 1 << 20).ok());
+  const FsResult before = fs.Open("/r/big");
+  ASSERT_TRUE(before.status.ok());
+  ASSERT_EQ(before.blocks.size(), 1u);
+  const BlockRow& b = before.blocks[0];
+  ASSERT_EQ(b.replicas.size(), 3u);
+  const blocks::DnId victim = b.replicas[0];
+  dns.dn(victim)->Crash();
+  fs.sim->RunFor(Seconds(20));  // heartbeat expiry + monitor round + copy
+
+  const FsResult after = fs.Open("/r/big");
+  ASSERT_TRUE(after.status.ok());
+  ASSERT_EQ(after.blocks.size(), 1u);
+  const std::vector<int32_t>& reps = after.blocks[0].replicas;
+  ASSERT_EQ(reps.size(), 3u);
+  blocks::DnId target = -1;
+  for (blocks::DnId d : reps) {
+    EXPECT_NE(d, victim);
+    EXPECT_TRUE(dns.dn(d)->alive());
+    EXPECT_TRUE(dns.dn(d)->HasBlock(b.block_id)) << "dn " << d;
+    if (std::find(b.replicas.begin(), b.replicas.end(), d) ==
+        b.replicas.end()) {
+      target = d;
+    }
+  }
+  ASSERT_GE(target, 0);
+  EXPECT_FALSE(row(tables.dn_blocks, DnBlockKey(victim, b.block_id)));
+  EXPECT_TRUE(row(tables.dn_blocks, DnBlockKey(target, b.block_id)));
+
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
+  const auto fold = [&digest](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (v >> (8 * i)) & 0xff;
+      digest *= 1099511628211ull;  // FNV prime
+    }
+  };
+  fold(static_cast<uint64_t>(target));
+  for (int i = 0; i < ndb.num_datanodes(); ++i) {
+    const ndb::NdbDatanode& dn = ndb.datanode(i);
+    const auto& st = dn.protocol_stats();
+    fold(dn.DigestStore());
+    for (int64_t v : {st.prepares, st.commit_hops, st.completes,
+                      st.committed_reads, st.locked_reads, st.scans}) {
+      fold(static_cast<uint64_t>(v));
+    }
+  }
+  EXPECT_EQ(StrFormat("%016llx", static_cast<unsigned long long>(digest)),
+            "3f87b4f4d0963d83");
 }
 
 // Builds one FsRequest fluently (the test's op table stays one line per
