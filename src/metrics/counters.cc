@@ -1,48 +1,8 @@
 #include "metrics/counters.h"
 
 #include <algorithm>
-#include <array>
 
 namespace repro::metrics {
-namespace {
-
-// Pre-rename counter names -> canonical `layer.component.event` names.
-// The 2026 naming sweep moved every counter onto the dotted hierarchy the
-// telemetry scraper exports; these aliases keep old call sites (and old
-// bench invocations of Report("client"), Report("nn"), ...) working.
-constexpr std::array<std::pair<const char*, const char*>, 13>
-    kLegacyCounterNames{{
-        {"client.retries", "hopsfs.client.retries"},
-        {"client.retry_budget_denied", "hopsfs.client.retry_budget_denied"},
-        {"client.breaker_transitions", "hopsfs.client.breaker_transitions"},
-        {"client.hedges_sent", "hopsfs.client.hedges_sent"},
-        {"client.hedge_wins", "hopsfs.client.hedge_wins"},
-        {"client.deadline_exceeded", "hopsfs.client.deadline_exceeded"},
-        {"client.sheds_observed", "hopsfs.client.sheds_observed"},
-        {"nn.admission.shed", "hopsfs.nn.admission_shed"},
-        {"nn.deadline_exceeded", "hopsfs.nn.deadline_exceeded"},
-        {"nn.txn_retries", "hopsfs.nn.txn_retries"},
-        {"ndb.hedges_sent", "ndb.api.hedges_sent"},
-        {"ndb.hedge_wins", "ndb.api.hedge_wins"},
-        {"ndb.deadline_exceeded", "ndb.api.deadline_exceeded"},
-    }};
-
-}  // namespace
-
-std::string CanonicalCounterName(const std::string& name) {
-  for (const auto& [legacy, canonical] : kLegacyCounterNames) {
-    if (name == legacy) return canonical;
-  }
-  return "";
-}
-
-std::string LegacyCounterName(const std::string& name) {
-  for (const auto& [legacy, canonical] : kLegacyCounterNames) {
-    if (name == canonical) return legacy;
-  }
-  return "";
-}
-
 bool MatchesSegmentPrefix(const std::string& name,
                           const std::string& prefix) {
   if (prefix.empty()) return true;
@@ -96,11 +56,9 @@ std::string FullName(const std::string& name, const Labels& labels) {
 // ---- Registry -------------------------------------------------------------
 
 Counter* Registry::GetCounter(const std::string& name) {
-  const std::string canonical = CanonicalCounterName(name);
-  const std::string& key = canonical.empty() ? name : canonical;
-  auto it = counters_.find(key);
+  auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_.emplace(key, std::make_unique<Counter>()).first;
+    it = counters_.emplace(name, std::make_unique<Counter>()).first;
   }
   return it->second.get();
 }
@@ -205,16 +163,8 @@ std::vector<std::pair<std::string, int64_t>> Registry::Snapshot() const {
 std::string Registry::Report(const std::string& prefix) const {
   std::string out;
   for (const auto& [name, counter] : counters_) {
-    const std::string legacy = LegacyCounterName(name);
-    // A prefix selects a counter through its canonical name or (compat
-    // shim) through the legacy name old bench invocations used.
-    if (!MatchesSegmentPrefix(name, prefix) &&
-        (legacy.empty() || !MatchesSegmentPrefix(legacy, prefix))) {
-      continue;
-    }
-    out += "  " + name + " = " + std::to_string(counter->value());
-    if (!legacy.empty()) out += "  (was " + legacy + ")";
-    out += "\n";
+    if (!MatchesSegmentPrefix(name, prefix)) continue;
+    out += "  " + name + " = " + std::to_string(counter->value()) + "\n";
   }
   return out;
 }

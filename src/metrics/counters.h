@@ -98,8 +98,6 @@ class Registry {
  public:
   // Returns the metric registered under `name` (+ labels), creating it on
   // first use. Returned pointers stay valid for the registry's lifetime.
-  // Legacy (pre-rename) counter names are transparently aliased to their
-  // canonical dotted names — see kLegacyCounterNames in counters.cc.
   Counter* GetCounter(const std::string& name);
   Counter* GetCounter(const std::string& name, const Labels& labels);
   Gauge* GetGauge(const std::string& name, const Labels& labels = {});
@@ -153,9 +151,6 @@ class Registry {
   // Multi-line "  name = value" counter report for bench stdout. Only
   // counters matching `prefix` (empty = all). Matching is per whole path
   // segment: "ndb.tc" matches "ndb.tc.commits" but not "ndb.tcp_retrans".
-  // Legacy (pre-rename) prefixes keep selecting the renamed counters, and
-  // renamed counters are annotated with their legacy name so pre-rename
-  // bench stdout stays diffable against post-rename output.
   std::string Report(const std::string& prefix = "") const;
 
  private:
@@ -173,11 +168,6 @@ class Registry {
 // True when `name` ("a.b.c" or "a.b.c{k=v}") falls under dotted `prefix`
 // on whole-segment boundaries. Empty prefix matches everything.
 bool MatchesSegmentPrefix(const std::string& name, const std::string& prefix);
-
-// Canonical name for a legacy counter name ("" if `name` is not legacy).
-std::string CanonicalCounterName(const std::string& name);
-// Legacy alias of a canonical counter name ("" if it never had one).
-std::string LegacyCounterName(const std::string& name);
 
 // Null-safe helpers so call sites do not need to branch on registry
 // presence.

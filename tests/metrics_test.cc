@@ -120,21 +120,6 @@ TEST(Registry, GaugesAndHistograms) {
   EXPECT_EQ(h->bucket_counts()[1], 2);  // <= 100
 }
 
-TEST(Registry, LegacyCounterNamesAliasToCanonical) {
-  EXPECT_EQ(CanonicalCounterName("client.retries"), "hopsfs.client.retries");
-  EXPECT_EQ(LegacyCounterName("hopsfs.client.retries"), "client.retries");
-  EXPECT_EQ(CanonicalCounterName("hopsfs.client.retries"), "");
-  EXPECT_EQ(LegacyCounterName("never.renamed"), "");
-
-  // Old call sites and new ones share ONE counter.
-  Registry reg;
-  Counter* legacy = reg.GetCounter("nn.admission.shed");
-  legacy->Add(3);
-  Counter* canonical = reg.GetCounter("hopsfs.nn.admission_shed");
-  EXPECT_EQ(legacy, canonical);
-  EXPECT_EQ(canonical->value(), 3);
-}
-
 TEST(Registry, ReportMatchesWholeDottedSegments) {
   EXPECT_TRUE(MatchesSegmentPrefix("ndb.tc.commits", "ndb.tc"));
   EXPECT_TRUE(MatchesSegmentPrefix("ndb.tc", "ndb.tc"));
@@ -145,14 +130,9 @@ TEST(Registry, ReportMatchesWholeDottedSegments) {
   Registry reg;
   reg.GetCounter("ndb.tc.commits")->Add(1);
   reg.GetCounter("ndb.tcp_retrans")->Add(1);
-  reg.GetCounter("client.retries")->Add(2);  // legacy spelling
   const std::string tc = reg.Report("ndb.tc");
   EXPECT_NE(tc.find("ndb.tc.commits"), std::string::npos);
   EXPECT_EQ(tc.find("ndb.tcp_retrans"), std::string::npos);
-  // A legacy prefix still selects the renamed counter, annotated.
-  const std::string client = reg.Report("client");
-  EXPECT_NE(client.find("hopsfs.client.retries = 2"), std::string::npos);
-  EXPECT_NE(client.find("(was client.retries)"), std::string::npos);
 }
 
 }  // namespace
