@@ -37,6 +37,7 @@
 
 #include "bench_common.h"
 #include "bench_host.h"
+#include "bench_json.h"
 #include "chaos/harness.h"
 #include "hopsfs/deployment.h"
 #include "metrics/timeseries.h"
@@ -196,9 +197,7 @@ int CheckDeterminism() {
 
 // ---- part 3: BENCH_prof.json + budget gate --------------------------------
 
-int WriteBenchJson(const ProfileRun& run, std::string* json_out) {
-  std::string path = "BENCH_prof.json";
-  if (const char* env = std::getenv("REPRO_BENCH_JSON")) path = env;
+int WriteResultsJson(const ProfileRun& run, std::string* json_out) {
   // A tracked zone absent from the profile is a hard failure even with no
   // baseline to gate against: it means the instrumentation was removed or
   // the hot path stopped running, and silently writing a JSON without the
@@ -233,27 +232,10 @@ int WriteBenchJson(const ProfileRun& run, std::string* json_out) {
       "  \"zones\": {\n%s\n  }\n}\n",
       static_cast<unsigned long long>(run.ops_completed), body.c_str());
   *json_out = json;
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot write %s\n", path.c_str());
+  if (WriteBenchJson("BENCH_prof.json", json, "budget numbers") != 0) {
     return 1;
   }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("budget numbers -> %s\n", path.c_str());
   return missing == 0 ? 0 : 1;
-}
-
-// Finds `"key": ` after `"zone": {` in the baseline text.
-bool FindZoneNumber(const std::string& text, const std::string& zone,
-                    const char* key, double* out) {
-  const size_t zpos = text.find("\"" + zone + "\": {");
-  if (zpos == std::string::npos) return false;
-  const std::string needle = std::string("\"") + key + "\": ";
-  const size_t pos = text.find(needle, zpos);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-  return true;
 }
 
 int CheckBudgets(const ProfileRun& run) {
@@ -262,16 +244,8 @@ int CheckBudgets(const ProfileRun& run) {
     std::printf("budget gate: REPRO_PROF_BASELINE unset, skipping\n");
     return 0;
   }
-  FILE* f = std::fopen(path, "r");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot read baseline %s\n", path);
-    return 1;
-  }
   std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
+  if (!ReadBaseline(path, &text)) return 1;
 
   int violations = 0;
   for (const char* zone : kTrackedZones) {
@@ -286,7 +260,8 @@ int CheckBudgets(const ProfileRun& run) {
       continue;
     }
     double base_allocs = 0;
-    if (!FindZoneNumber(text, zone, "allocs_per_call", &base_allocs)) {
+    if (!FindJsonNumber(text, "allocs_per_call", &base_allocs,
+                        StrFormat("\"%s\": {", zone))) {
       std::printf("FAIL: baseline %s missing zone %s\n", path, zone);
       ++violations;
       continue;
@@ -319,7 +294,7 @@ int Main() {
   const ProfileRun run = RunProfiledWorkload(out_dir);
   rc |= CheckDeterminism();
   std::string json;
-  rc |= WriteBenchJson(run, &json);
+  rc |= WriteResultsJson(run, &json);
   rc |= CheckBudgets(run);
   std::printf("\nRESULT: %s\n",
               rc == 0 ? "profiler holds every expectation"

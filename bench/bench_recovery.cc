@@ -48,6 +48,7 @@
 
 #include "bench_common.h"
 #include "bench_host.h"
+#include "bench_json.h"
 #include "prof/profiler.h"
 #include "chaos/harness.h"
 #include "metrics/timeseries.h"
@@ -492,31 +493,22 @@ int RestartSoak() {
 // BENCH_recovery.json: the headline recovery numbers for the CI artifact
 // and the committed repo-root copy. Path from REPRO_BENCH_JSON, default
 // the working directory.
-int WriteBenchJson() {
-  std::string path = "BENCH_recovery.json";
-  if (const char* env = std::getenv("REPRO_BENCH_JSON")) path = env;
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"recovery\",\n"
-               "  \"recovery_time_vs_entries\": [%s],\n"
-               "  \"loss_window\": %s,\n"
-               "  \"catchup_availability\": %s,\n"
-               "  \"restart_soak\": %s,\n"
-               "  \"host\": {\"peak_rss_mb\": %.1f, \"total_allocs\": %llu,\n"
-               "           \"total_alloc_mb\": %.1f}\n"
-               "}\n",
-               g_json.scaling.c_str(), g_json.loss.c_str(),
-               g_json.catchup.c_str(), g_json.soak.c_str(), PeakRssMb(),
-               static_cast<unsigned long long>(AllocsNow().count),
-               static_cast<double>(AllocsNow().bytes) / (1024.0 * 1024.0));
-  std::fclose(f);
-  std::printf("headline numbers -> %s\n", path.c_str());
-  return 0;
+int WriteResultsJson() {
+  const std::string json = StrFormat(
+      "{\n"
+      "  \"bench\": \"recovery\",\n"
+      "  \"recovery_time_vs_entries\": [%s],\n"
+      "  \"loss_window\": %s,\n"
+      "  \"catchup_availability\": %s,\n"
+      "  \"restart_soak\": %s,\n"
+      "  \"host\": {\"peak_rss_mb\": %.1f, \"total_allocs\": %llu,\n"
+      "           \"total_alloc_mb\": %.1f}\n"
+      "}\n",
+      g_json.scaling.c_str(), g_json.loss.c_str(), g_json.catchup.c_str(),
+      g_json.soak.c_str(), PeakRssMb(),
+      static_cast<unsigned long long>(AllocsNow().count),
+      static_cast<double>(AllocsNow().bytes) / (1024.0 * 1024.0));
+  return WriteBenchJson("BENCH_recovery.json", json, "headline numbers");
 }
 
 int Main() {
@@ -531,7 +523,7 @@ int Main() {
   rc |= LossWindow();
   rc |= CatchupAvailability();
   rc |= RestartSoak();
-  rc |= WriteBenchJson();
+  rc |= WriteResultsJson();
   std::printf("\nRESULT: %s\n",
               rc == 0 ? "recovery pipeline holds every expectation"
                       : "EXPECTATION VIOLATED");

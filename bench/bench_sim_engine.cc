@@ -31,9 +31,11 @@
 #include <vector>
 
 #include "bench_host.h"
+#include "bench_json.h"
 #include "sim/engine.h"
 #include "sim/legacy_engine.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "util/time.h"
 
 namespace repro::bench {
@@ -176,32 +178,14 @@ MillionResult RunMillionClients(int clients, int hosts, Nanos sim_horizon) {
 
 // ---- Baseline comparison ---------------------------------------------------
 
-// Minimal extraction of "key": <number> from a JSON file we wrote
-// ourselves; no general parser needed.
-bool FindJsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
 int CheckBaseline(double wheel_eps, double legacy_eps) {
   const char* path = std::getenv("REPRO_BENCH_BASELINE");
   if (path == nullptr || path[0] == '\0') {
     std::printf("baseline gate: REPRO_BENCH_BASELINE unset, skipping\n");
     return 0;
   }
-  FILE* f = std::fopen(path, "r");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot read baseline %s\n", path);
-    return 1;
-  }
   std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
+  if (!ReadBaseline(path, &text)) return 1;
 
   double base_wheel = 0, base_legacy = 0;
   if (!FindJsonNumber(text, "wheel_eps", &base_wheel) ||
@@ -227,18 +211,10 @@ int CheckBaseline(double wheel_eps, double legacy_eps) {
   return 0;
 }
 
-int WriteBenchJson(int hosts, const HeartbeatResult& wheel,
-                   const HeartbeatResult& legacy, double speedup, int clients,
-                   const MillionResult& million) {
-  std::string path = "BENCH_sim_engine.json";
-  if (const char* env = std::getenv("REPRO_BENCH_JSON")) path = env;
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(
-      f,
+int WriteResultsJson(int hosts, const HeartbeatResult& wheel,
+                     const HeartbeatResult& legacy, double speedup,
+                     int clients, const MillionResult& million) {
+  const std::string json = StrFormat(
       "{\n"
       "  \"bench\": \"sim_engine\",\n"
       "  \"heartbeat_10k\": {\"hosts\": %d, \"sim_seconds\": 60, "
@@ -252,9 +228,7 @@ int WriteBenchJson(int hosts, const HeartbeatResult& wheel,
       legacy.eps, speedup, clients,
       static_cast<unsigned long long>(million.events), million.eps,
       million.wall_sec, million.peak_rss_mb);
-  std::fclose(f);
-  std::printf("headline numbers -> %s\n", path.c_str());
-  return 0;
+  return WriteBenchJson("BENCH_sim_engine.json", json, "headline numbers");
 }
 
 int Main() {
@@ -317,7 +291,7 @@ int Main() {
       million.eps / 1e6, million.peak_rss_mb);
 
   rc |= CheckBaseline(wheel.eps, legacy.eps);
-  rc |= WriteBenchJson(kHosts, wheel, legacy, speedup, kClients, million);
+  rc |= WriteResultsJson(kHosts, wheel, legacy, speedup, kClients, million);
   std::printf("\nRESULT: %s\n", rc == 0 ? "scheduler core holds every bar"
                                         : "EXPECTATION VIOLATED");
   return rc;
